@@ -42,12 +42,7 @@ from .program import (
 from .scaling import ScalingConfig, analyze_curve, run_scaling, summarize_curves, summarize_points
 from .state import (
     StateVector,
-    apply_bit_reversal,
-    apply_controlled_phase,
-    apply_phase_shift,
-    apply_single_qubit,
     bit_reversal_permutation,
-    check_two_qubit_density,
     fidelity,
     partial_trace_12,
 )

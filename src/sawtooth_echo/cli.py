@@ -39,6 +39,10 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 
+#: entries every replayable manifest must hold (plus t_r or t_r_grid)
+_MANIFEST_KEYS = ("n_q", "epsilon", "K", "realizations", "master_seed", "csv")
+
+
 class UsageError(Exception):
     pass
 
@@ -196,6 +200,12 @@ def _base_manifest(command: str, config: EchoConfig, csv_path: Path) -> dict:
     }
 
 
+def _require_keys(manifest: dict, path: Path, keys) -> None:
+    for key in keys:
+        if key not in manifest:
+            raise UsageError(f"{path}: manifest has no {key!r} entry")
+
+
 def _config_from_manifest(manifest: dict, command: str, threads) -> EchoConfig:
     if manifest.get("command") != command:
         raise UsageError(
@@ -216,6 +226,7 @@ def _config_from_manifest(manifest: dict, command: str, threads) -> EchoConfig:
 def cmd_trace(args) -> int:
     if args.from_manifest is not None:
         manifest = load_manifest(args.from_manifest)
+        _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + ("t_r",))
         config = _config_from_manifest(manifest, "trace", args.threads)
         out = args.out or args.from_manifest.parent / manifest["csv"]
     else:
@@ -242,6 +253,7 @@ def cmd_trace(args) -> int:
 def cmd_echo_curve(args) -> int:
     if args.from_manifest is not None:
         manifest = load_manifest(args.from_manifest)
+        _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + ("t_r_grid",))
         config = _config_from_manifest(manifest, "echo-curve", args.threads)
         out = args.out or args.from_manifest.parent / manifest["csv"]
     else:
@@ -268,7 +280,9 @@ def cmd_echo_curve(args) -> int:
 def _load_curves(paths):
     curves = []
     for csv_path in paths:
-        manifest = load_manifest(manifest_path_for(csv_path))
+        manifest_path = manifest_path_for(csv_path)
+        manifest = load_manifest(manifest_path)
+        _require_keys(manifest, manifest_path, ("n_q", "epsilon"))
         if manifest.get("command") != "echo-curve":
             raise UsageError(f"{csv_path}: manifest is not an echo-curve record")
         curves.append(
@@ -369,3 +383,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:  # console-script entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

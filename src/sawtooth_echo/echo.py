@@ -41,8 +41,10 @@ class EchoConfig:
     def __post_init__(self):
         if self.n_q < 2:
             raise ValueError(f"echo protocol needs n_q >= 2, got {self.n_q}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not math.isfinite(self.K):
+            raise ValueError(f"K must be finite, got {self.K}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.master_seed < 0:

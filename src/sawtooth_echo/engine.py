@@ -13,13 +13,19 @@ every application including backward evolution):
   untouched.
 * Bit reversals are index bookkeeping and stay noise-free.
 
-Draws are consumed in program order from a per-realization generator, so a
-fixed (master seed, reversal time, realization) triple reproduces every
-amplitude bit-for-bit.  eps = 0 short-circuits to the ideal kernels.
+A program compiles into alternating ops: each Hadamard, and one fused
+diagonal for each maximal run of phase-type gates and bit reversals between
+Hadamards (a map iteration has 4*n_q ops).  Draws are consumed in program
+order from a per-realization generator, one uniform vector per
+application, so a fixed (master seed, reversal time, realization) triple
+reproduces every amplitude bit-for-bit.  eps = 0 short-circuits to the
+precomputed ideal tables of the same ops.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -27,9 +33,6 @@ from .program import BitReversal, ControlledPhase, GateProgram, Hadamard, PhaseS
 from .state import StateVector, bit_reversal_permutation
 
 _INV_SQRT2 = math.sqrt(0.5)
-
-#: uniform draws consumed per gate when noise is active
-DRAWS_PER_GATE = {Hadamard: 1, ControlledPhase: 2, PhaseShift: 2, BitReversal: 0}
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,8 @@ class NoiseModel:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
@@ -82,69 +85,172 @@ def _bind_hadamard(amps, n_q, target):
         angle = 0.25 * math.pi + d[0]
         c = math.cos(angle)
         s = math.sin(angle)
-        keep[...] = x0
-        np.multiply(x1, c, out=work)
+        np.multiply(x0, c, out=keep)
         np.multiply(x0, s, out=x0)
+        np.multiply(x1, c, out=work)
         np.add(x0, work, out=x0)
         np.multiply(x1, s, out=x1)
-        np.multiply(keep, c, out=work)
-        np.subtract(work, x1, out=x1)
+        np.subtract(keep, x1, out=x1)
 
     return ideal, noisy, 1
 
 
-def _bind_controlled_phase(amps, n_q, control, target, phase):
-    i, l = (control, target) if control < target else (target, control)
-    v = amps.reshape(1 << (i - 1), 2, 1 << (l - i - 1), 2, -1)
-    block = v[:, 1, :, 1, :]
-    factor = complex(math.cos(phase), math.sin(phase))
-    base = np.array([0.0, phase])
-    if control == i:
-        slab = v[:, 1, :, :, :]  # axes (pre, mid, target bit, post)
-        shape = (1, 1, 2, 1)
-    else:
-        slab = v[:, :, :, 1, :]  # axes (pre, target bit, mid, post)
-        shape = (1, 2, 1, 1)
-
-    def ideal():
-        np.multiply(block, factor, out=block)
-
-    def noisy(d):
-        np.multiply(slab, np.exp(1j * (base + d)).reshape(shape), out=slab)
-
-    return ideal, noisy, 2
+@lru_cache(maxsize=None)
+def _features(m):
+    """Feature columns over the 2**m settings of m bits (bit 0 most
+    significant): each bit, the constant 1, and each product of two bits.
+    Returns the matrix and the column index of each monomial."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    monomials = [(i,) for i in range(m)] + [()] + list(combinations(range(m), 2))
+    columns = [bits[:, list(mono)].prod(axis=1) for mono in monomials]
+    features = np.column_stack(columns).astype(float)
+    features.setflags(write=False)
+    return features, {mono: c for c, mono in enumerate(monomials)}
 
 
-def _bind_phase_shift(amps, n_q, target, phase):
-    v = amps.reshape(-1, 2, 1 << (n_q - target))
-    block = v[:, 1, :]
-    factor = complex(math.cos(phase), math.sin(phase))
-    base = np.array([0.0, phase])
+def _compile_diagonal(n_q, gates):
+    """Compile a maximal run of phase-type gates and bit reversals into one
+    diagonal op; returns its binder, or None when the run is the identity.
 
-    def ideal():
-        np.multiply(block, factor, out=block)
+    A bit reversal inside the run relabels qubit q as n_q + 1 - q for the
+    gates after it (BR . D . BR is diagonal), so the run is one diagonal,
+    followed by one reversal when the run holds an odd number of them.
+    With draws (d0, d1) a gate with qubits (controls..., target) adds
+    d0 * prod(controls) + (phase + d1 - d0) * prod(qubits) to the phase of a
+    basis state: a quadratic form in the basis bits, linear in the draws.
 
-    def noisy(d):
-        np.multiply(v, np.exp(1j * (base + d)).reshape(1, 2, 1), out=v)
+    The table spans the window of qubits the run touches.  Its phase is
+    evaluated over a high/low split of the window index as
+    F_high @ C @ F_low^T, where the coefficient matrix C is the ideal
+    coefficients plus a linear map of the run's draws, so no table-by-draws
+    matrix is ever formed.  eps = 0 multiplies by the table of the ideal
+    coefficients, computed once.
+    """
+    reversed_ = False
+    terms = []  # (qubits in the run's input frame, target last; phase)
+    for gate in gates:
+        if isinstance(gate, BitReversal):
+            reversed_ = not reversed_
+            continue
+        if isinstance(gate, PhaseShift):
+            qubits = (gate.target,)
+        elif isinstance(gate, ControlledPhase):
+            qubits = (gate.control, gate.target)
+        else:
+            raise TypeError(f"unknown gate {gate!r}")
+        if reversed_:
+            qubits = tuple(n_q + 1 - q for q in qubits)
+        terms.append((qubits, gate.phase))
+    perm = bit_reversal_permutation(n_q) if reversed_ else None
+    if not terms:
+        return partial(_bind_permutation, n_q=n_q) if reversed_ else None
 
-    return ideal, noisy, 2
+    first = min(min(qubits) for qubits, _ in terms)
+    last = max(max(qubits) for qubits, _ in terms)
+    width = last - first + 1
+    high = width // 2
+    f_high, high_column = _features(high)
+    f_low, low_column = _features(width - high)
+    f_low_t = f_low.T.copy()
+
+    def cell(monomial):  # flat index of a monomial's coefficient in C
+        row = high_column[tuple(i for i in monomial if i < high)]
+        col = low_column[tuple(i - high for i in monomial if i >= high)]
+        return row * f_low.shape[1] + col
+
+    cells = {}  # cell of C -> slot of a coefficient the run sets
+    term_slots = []  # (slot of prod(controls), slot of prod(qubits))
+    for qubits, _ in terms:
+        local = [q - first for q in qubits]
+        term_slots.append(
+            (
+                cells.setdefault(cell(sorted(local[:-1])), len(cells)),
+                cells.setdefault(cell(sorted(local)), len(cells)),
+            )
+        )
+    weights = np.zeros((len(cells), 2 * len(terms)))
+    offsets = np.zeros(len(cells))  # the ideal coefficients
+    for g, ((controls, both), (_, phase)) in enumerate(zip(term_slots, terms)):
+        weights[controls, 2 * g] += 1.0
+        weights[both, 2 * g] -= 1.0
+        weights[both, 2 * g + 1] += 1.0
+        # reduced into (-pi, pi] through the exact unit factor, so that a
+        # table entry's summed phase is as accurate as the product of its
+        # gates' factors would be
+        offsets[both] += math.atan2(math.sin(phase), math.cos(phase))
+    slots = np.array(list(cells))
+
+    def unit_factors(coefficients):  # exp(i * F_high @ C @ F_low^T), as a column
+        phase = f_high @ coefficients @ f_low_t
+        factor = np.empty(phase.shape, dtype=np.complex128)
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
+        return factor.reshape(-1, 1)
+
+    coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
+    coefficients.reshape(-1)[slots] = offsets
+    ideal = unit_factors(coefficients)
+    for table in (f_low_t, weights, slots, offsets, ideal):
+        table.setflags(write=False)
+
+    def bind(amps):
+        view = amps.reshape(1 << (first - 1), 1 << width, 1 << (n_q - last))
+        coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
+        flat = coefficients.reshape(-1)
+
+        def apply_ideal():
+            np.multiply(view, ideal, out=view)
+            if reversed_:
+                amps[:] = amps[perm]
+
+        def noisy(d):
+            flat[slots] = offsets + weights @ d
+            np.multiply(view, unit_factors(coefficients), out=view)
+            if reversed_:
+                amps[:] = amps[perm]
+
+        return apply_ideal, noisy, 2 * len(terms)
+
+    return bind
 
 
-def _bind_bit_reversal(amps, n_q):
+def _bind_permutation(amps, n_q):
+    """A run of an odd number of bit reversals and nothing else."""
     perm = bit_reversal_permutation(n_q)
 
-    def ideal():
+    def permute():
         amps[:] = amps[perm]
 
-    return ideal, lambda d: ideal(), 0
+    return permute, lambda d: permute(), 0
+
+
+@lru_cache(maxsize=32)
+def _compile(program):
+    """The buffer-independent form of a program: one binder per op.
+
+    Cached, because every echo task binds the same forward and backward
+    programs to a fresh buffer.
+    """
+    binders = []
+    for is_hadamard, run in groupby(program.gates, lambda g: isinstance(g, Hadamard)):
+        if is_hadamard:
+            binders += [partial(_bind_hadamard, n_q=program.n_q, target=g.target) for g in run]
+        else:
+            binder = _compile_diagonal(program.n_q, tuple(run))
+            if binder is not None:
+                binders.append(binder)
+    return tuple(binders)
 
 
 class BoundProgram:
-    """A program's kernels bound to one amplitude buffer.
+    """A program compiled into ops bound to one amplitude buffer.
 
-    Binding precomputes every reshaped view once, so repeated applications
-    (thousands per echo experiment) do only arithmetic.  The buffer must be
-    the C-contiguous complex128 array the views were taken from.
+    Each Hadamard is one op; each maximal run of phase shifts, controlled
+    phases and bit reversals between Hadamards fuses into one diagonal op
+    (see _compile_diagonal).  Compilation is done once per program and
+    binding takes every view once, so repeated applications (thousands per
+    echo experiment) do only arithmetic.  The buffer must be the
+    C-contiguous complex128 array the views were taken from.
     """
 
     __slots__ = ("amps", "draw_count", "_ops")
@@ -153,27 +259,16 @@ class BoundProgram:
         if amps.shape != (1 << program.n_q,) or amps.dtype != np.complex128:
             raise ValueError("buffer must be a complex128 vector of length 2**n_q")
         self.amps = amps
-        ops = []
-        for gate in program.gates:
-            if isinstance(gate, Hadamard):
-                ops.append(_bind_hadamard(amps, program.n_q, gate.target))
-            elif isinstance(gate, ControlledPhase):
-                ops.append(
-                    _bind_controlled_phase(
-                        amps, program.n_q, gate.control, gate.target, gate.phase
-                    )
-                )
-            elif isinstance(gate, PhaseShift):
-                ops.append(_bind_phase_shift(amps, program.n_q, gate.target, gate.phase))
-            elif isinstance(gate, BitReversal):
-                ops.append(_bind_bit_reversal(amps, program.n_q))
-            else:
-                raise TypeError(f"unknown gate {gate!r}")
-        self._ops = ops
-        self.draw_count = sum(nd for _, _, nd in ops)
+        self._ops = []
+        start = 0
+        for bind in _compile(program):
+            ideal, noisy, count = bind(amps)
+            self._ops.append((ideal, noisy, start, start + count))
+            start += count
+        self.draw_count = start
 
     def apply_ideal(self) -> None:
-        for ideal, _, _ in self._ops:
+        for ideal, _, _, _ in self._ops:
             ideal()
 
     def apply_noisy(self, rng: np.random.Generator, epsilon: float) -> None:
@@ -181,13 +276,8 @@ class BoundProgram:
             self.apply_ideal()
             return
         draws = rng.uniform(-epsilon, epsilon, self.draw_count)
-        pos = 0
-        for _, noisy, nd in self._ops:
-            if nd:
-                noisy(draws[pos : pos + nd])
-                pos += nd
-            else:
-                noisy(None)
+        for _, noisy, start, stop in self._ops:
+            noisy(draws[start:stop])
 
 
 def apply_program(program: GateProgram, state: StateVector) -> StateVector:

@@ -8,9 +8,8 @@ entry on small registers.
 
 import numpy as np
 
-from .engine import apply_program
+from .engine import BoundProgram
 from .program import GateProgram, MapParams
-from .state import StateVector
 
 ORACLE_MAX_QUBITS = 12
 
@@ -53,10 +52,13 @@ def program_unitary(program: GateProgram) -> np.ndarray:
         raise ValueError(f"dense expansion supports n_q <= {ORACLE_MAX_QUBITS}")
     N = 1 << program.n_q
     u = np.empty((N, N), dtype=np.complex128)
+    amps = np.empty(N, dtype=np.complex128)
+    bound = BoundProgram(program, amps)
     for col in range(N):
-        state = StateVector.computational_basis(program.n_q, col)
-        apply_program(program, state)
-        u[:, col] = state.amps
+        amps[:] = 0.0
+        amps[col] = 1.0
+        bound.apply_ideal()
+        u[:, col] = amps
     return u
 
 

@@ -55,6 +55,10 @@ class ScalingConfig:
         object.__setattr__(self, "t_r_grid", tuple(int(t) for t in self.t_r_grid))
         if not self.nq_list or not self.epsilon_list:
             raise ValueError("scaling needs at least one n_q and one epsilon")
+        if not all(math.isfinite(e) and e >= 0.0 for e in self.epsilon_list):
+            raise ValueError(f"epsilons must be finite and >= 0, got {self.epsilon_list}")
+        if not math.isfinite(self.K):
+            raise ValueError(f"K must be finite, got {self.K}")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"threshold c must lie in (0, 1), got {self.c}")
 

@@ -1,24 +1,22 @@
-"""State-vector register with in-place gate kernels and two-qubit reductions.
+"""State-vector register, the bit-reversal permutation and two-qubit reductions.
 
 Basis convention: qubit 1 is the most significant bit of the basis index,
 so |a1 a2 ... an> sits at index a1*2**(n-1) + a2*2**(n-2) + ... + an.
 With that ordering the reduced density matrix of qubits 1 and 2 is a single
 reshape-and-matmul over contiguous blocks of N/4 amplitudes.
 
-All amplitudes are complex128; kernels mutate the buffer in place and are
-single-writer.  Read-only operations (fidelity, partial trace) are pure.
+All amplitudes are complex128; the engine's kernels mutate the buffer in
+place and are single-writer.  Read-only operations (fidelity, partial trace)
+are pure.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-UNITARITY_TOL = 1e-12
-
 
 class StateVector:
-    """Amplitudes of an n_q-qubit register, mutated in place by gate kernels."""
+    """Amplitudes of an n_q-qubit register, mutated in place by the engine."""
 
     __slots__ = ("n_q", "amps")
 
@@ -56,72 +54,15 @@ class StateVector:
         return f"StateVector(n_q={self.n_q})"
 
 
-def _check_target(state: StateVector, target: int) -> None:
-    if not 1 <= target <= state.n_q:
-        raise ValueError(f"qubit index {target} out of range 1..{state.n_q}")
-
-
-def apply_single_qubit(state: StateVector, target: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit, updating amplitudes pairwise in place.
-
-    Rejects non-unitary matrices: a broken noise draw upstream is the usual
-    culprit, and letting it through would silently destroy normalization.
-    """
-    _check_target(state, target)
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.abs(u @ u.conj().T - np.eye(2)).max() > UNITARITY_TOL:
-        raise ValueError("matrix is not unitary within 1e-12")
-    v = state.amps.reshape(-1, 2, 1 << (state.n_q - target))
-    x0 = v[:, 0, :].copy()
-    x1 = v[:, 1, :]
-    v[:, 0, :] = u[0, 0] * x0 + u[0, 1] * x1
-    v[:, 1, :] = u[1, 0] * x0 + u[1, 1] * x1
-    return state
-
-
-def apply_controlled_phase(
-    state: StateVector, control: int, target: int, phase: float
-) -> StateVector:
-    """Multiply by e^{i*phase} every basis amplitude with both qubits set."""
-    _check_target(state, control)
-    _check_target(state, target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    i, l = (control, target) if control < target else (target, control)
-    v = state.amps.reshape(1 << (i - 1), 2, 1 << (l - i - 1), 2, -1)
-    v[:, 1, :, 1, :] *= complex(math.cos(phase), math.sin(phase))
-    return state
-
-
-def apply_phase_shift(state: StateVector, target: int, phase: float) -> StateVector:
-    """Multiply by e^{i*phase} every basis amplitude with the target qubit set."""
-    _check_target(state, target)
-    v = state.amps.reshape(-1, 2, 1 << (state.n_q - target))
-    v[:, 1, :] *= complex(math.cos(phase), math.sin(phase))
-    return state
-
-
 @lru_cache(maxsize=None)
 def bit_reversal_permutation(n_q: int) -> np.ndarray:
     """Index permutation reversing the qubit order (an involution)."""
-    perm = np.zeros(1 << n_q, dtype=np.intp)
-    for j in range(1 << n_q):
-        r = 0
-        x = j
-        for _ in range(n_q):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        perm[j] = r
+    index = np.arange(1 << n_q)
+    perm = np.zeros_like(index)
+    for bit in range(n_q):
+        perm |= ((index >> bit) & 1) << (n_q - 1 - bit)
     perm.setflags(write=False)
     return perm
-
-
-def apply_bit_reversal(state: StateVector) -> StateVector:
-    """Permute amplitudes so qubit k and qubit n_q+1-k swap roles."""
-    state.amps[:] = state.amps[bit_reversal_permutation(state.n_q)]
-    return state
 
 
 def partial_trace_12(state: StateVector) -> np.ndarray:
@@ -134,19 +75,6 @@ def partial_trace_12(state: StateVector) -> np.ndarray:
         raise ValueError("partial trace over qubits 3..n_q needs n_q >= 2")
     blocks = state.amps.reshape(4, -1)
     return blocks @ blocks.conj().T
-
-
-def check_two_qubit_density(rho: np.ndarray) -> None:
-    """Raise if rho violates the two-qubit density-matrix invariants."""
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise ValueError("density matrix is not Hermitian within 1e-12")
-    if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-        raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("density matrix has an eigenvalue below -1e-10")
 
 
 def fidelity(state: StateVector, reference: StateVector) -> float:

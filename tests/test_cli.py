@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,52 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli("echo-curve", "--nq", 3, "--epsilon", 0.1, "--tr-grid", "9..1", "--out", tmp_path / "y.csv") == 1
     assert run_cli("nonsense") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_parameters_exit_one(tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    assert run_cli(*trace_args(out, epsilon=value)) == 1
+    assert run_cli(*trace_args(out, K=value)) == 1
+    assert run_cli("echo-curve", "--nq", 3, "--epsilon", value, "--out", out) == 1
+    scaling = ["scaling", "--nq-list", "3", "--tr-grid", "1,2", "--out", tmp_path / "s.json"]
+    assert run_cli(*scaling, "--epsilon-list", f"0.01,{value}") == 1
+    assert run_cli(*scaling, "--epsilon-list", "0.01", "--K", value) == 1
+    assert run_cli(*scaling, "--epsilon-list", "0.01", "--c", value) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n_q", "epsilon", "K", "realizations", "master_seed", "csv", "t_r"])
+def test_manifest_missing_key_exits_one(tmp_path, capsys, key):
+    out = tmp_path / "run.csv"
+    assert run_cli(*trace_args(out)) == 0
+    capsys.readouterr()
+    manifest = load_manifest(manifest_path_for(out))
+    del manifest[key]
+    broken = tmp_path / "broken.manifest.json"
+    write_manifest(broken, manifest)
+    assert run_cli("trace", "--from-manifest", broken) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_commands():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("sawtooth_echo", "sawtooth_echo.cli"):
+        ok = subprocess.run(
+            [sys.executable, "-m", module, "verify"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert ok.returncode == 0
+        assert ok.stdout.count("[PASS]") == 6
+        bad = subprocess.run(
+            [sys.executable, "-m", module, "verify", "--no-such-flag"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert bad.returncode == 1
+        assert "error:" in bad.stderr
 
 
 def test_io_error_exit_three(tmp_path):

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import dense_single_qubit, random_state
 from sawtooth_echo import (
+    BitReversal,
     ControlledPhase,
     GateProgram,
+    Hadamard,
     MapParams,
     NoiseModel,
+    PhaseShift,
     apply_noisy,
     apply_program,
     fidelity,
@@ -63,8 +66,9 @@ def test_noise_streams_are_reproducible_and_distinct():
     c = noise.stream(3, 8).uniform(-1, 1, 8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
+    for epsilon in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            NoiseModel(epsilon)
 
 
 def test_noisy_application_is_reproducible():
@@ -134,3 +138,69 @@ def test_noisy_controlled_phase_leaves_control_zero_block():
         )
         assert np.abs(state.amps[control_bit == 1] - before[control_bit == 1]).max() > 1e-3
         assert state.norm_error() < 1e-12
+
+
+def _reference_noisy(program, amps, draws):
+    """Gate-by-gate dense application of the noisy program, consuming draws
+    in program order (1 per Hadamard, 2 per phase-type gate)."""
+    n_q = program.n_q
+    amps = amps.copy()
+    pos = 0
+    for gate in program.gates:
+        if isinstance(gate, BitReversal):
+            order = [int(format(j, f"0{n_q}b")[::-1], 2) for j in range(1 << n_q)]
+            amps = amps[order]
+            continue
+        if isinstance(gate, Hadamard):
+            u = dense_single_qubit(n_q, gate.target, tilted_hadamard(draws[pos]))
+            pos += 1
+        else:
+            d0, d1 = draws[pos : pos + 2]
+            pos += 2
+            primitive = np.diag([np.exp(1j * d0), np.exp(1j * (gate.phase + d1))])
+            u = dense_single_qubit(n_q, gate.target, primitive)
+            if isinstance(gate, ControlledPhase):
+                unset = dense_single_qubit(n_q, gate.control, np.diag([1.0, 0.0]))
+                u = unset + dense_single_qubit(n_q, gate.control, np.diag([0.0, 1.0])) @ u
+        amps = u @ amps
+    assert pos == len(draws)
+    return amps
+
+
+def _random_program(n_q, reversals, rng):
+    gates = []
+    for _ in range(40):
+        kind = rng.integers(3)
+        if kind == 0:
+            gates.append(Hadamard(int(rng.integers(1, n_q + 1))))
+        elif kind == 1:
+            gates.append(PhaseShift(int(rng.integers(1, n_q + 1)), rng.uniform(-8, 8)))
+        else:
+            control, target = rng.choice(np.arange(1, n_q + 1), size=2, replace=False)
+            gates.append(ControlledPhase(int(control), int(target), rng.uniform(-8, 8)))
+    for _ in range(reversals):
+        gates.insert(int(rng.integers(len(gates) + 1)), BitReversal())
+    return GateProgram(n_q, tuple(gates))
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6])
+def test_compiled_engine_matches_gate_by_gate_reference(n_q):
+    # draw order, qubit relabelling after reversals and the trailing
+    # permutation of an odd reversal count are invisible to the statistical
+    # checks; compare every amplitude against the dense per-gate reference
+    rng = np.random.default_rng(40 + n_q)
+    params = MapParams(n_q, 5.0)
+    programs = [_random_program(n_q, reversals, rng) for reversals in (0, 1, 2, 3)]
+    programs += [map_program(params), map_program(params, "backward")]
+    epsilon = 0.3
+    for seed, program in enumerate(programs):
+        state = random_state(n_q, rng)
+        bound = BoundProgram(program, state.amps.copy())
+        assert bound.draw_count == sum(
+            1 if isinstance(g, Hadamard) else 0 if isinstance(g, BitReversal) else 2
+            for g in program.gates
+        )
+        draws = np.random.default_rng(seed).uniform(-epsilon, epsilon, bound.draw_count)
+        bound.apply_noisy(np.random.default_rng(seed), epsilon)
+        expected = _reference_noisy(program, state.amps, draws)
+        assert np.abs(bound.amps - expected).max() < 1e-12

@@ -1,4 +1,8 @@
-"""Gate kernels against explicit dense matrices, partial trace, fidelity."""
+"""Gate kernels against explicit dense matrices, partial trace, fidelity.
+
+Each gate kernel is exercised as a one-gate GateProgram through
+apply_program, the engine's ideal path.
+"""
 
 import math
 
@@ -10,16 +14,16 @@ from helpers import (
     dense_phase_shift,
     dense_single_qubit,
     random_state,
-    random_unitary_2x2,
 )
 from sawtooth_echo import (
+    BitReversal,
+    ControlledPhase,
+    GateProgram,
+    Hadamard,
+    PhaseShift,
     StateVector,
-    apply_bit_reversal,
-    apply_controlled_phase,
-    apply_phase_shift,
-    apply_single_qubit,
+    apply_program,
     bit_reversal_permutation,
-    check_two_qubit_density,
     fidelity,
     partial_trace_12,
     von_neumann_entropy,
@@ -28,17 +32,24 @@ from sawtooth_echo import (
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
+def run(state, *gates):
+    """Apply the gates, as one program, to the state in place."""
+    return apply_program(GateProgram(state.n_q, gates), state)
+
+
 def test_identity_leaves_state_unchanged():
     rng = np.random.default_rng(1)
     state = random_state(4, rng)
     before = state.amps.copy()
-    apply_single_qubit(state, 2, np.eye(2))
+    run(state)
+    np.testing.assert_array_equal(state.amps, before)
+    run(state, PhaseShift(2, 0.0))
     np.testing.assert_array_equal(state.amps, before)
 
 
 def test_hadamard_on_zero_register():
     state = StateVector.computational_basis(3, 0)
-    apply_single_qubit(state, 1, HADAMARD)
+    run(state, Hadamard(1))
     expected = np.zeros(8, dtype=complex)
     expected[0] = expected[4] = 1 / np.sqrt(2)  # |000> + |100>
     np.testing.assert_allclose(state.amps, expected, atol=1e-15)
@@ -48,8 +59,7 @@ def test_hadamard_twice_is_identity():
     rng = np.random.default_rng(2)
     state = random_state(5, rng)
     before = state.amps.copy()
-    apply_single_qubit(state, 3, HADAMARD)
-    apply_single_qubit(state, 3, HADAMARD)
+    run(state, Hadamard(3), Hadamard(3))
     np.testing.assert_allclose(state.amps, before, atol=1e-12)
 
 
@@ -57,10 +67,9 @@ def test_hadamard_twice_is_identity():
 def test_single_qubit_kernel_matches_dense(n_q):
     rng = np.random.default_rng(10 + n_q)
     for target in range(1, n_q + 1):
-        u = random_unitary_2x2(rng)
         state = random_state(n_q, rng)
-        expected = dense_single_qubit(n_q, target, u) @ state.amps
-        apply_single_qubit(state, target, u)
+        expected = dense_single_qubit(n_q, target, HADAMARD) @ state.amps
+        run(state, Hadamard(target))
         assert np.abs(state.amps - expected).max() < 1e-12
 
 
@@ -74,7 +83,7 @@ def test_controlled_phase_kernel_matches_dense(n_q):
             phase = rng.uniform(-8, 8)
             state = random_state(n_q, rng)
             expected = dense_controlled_phase(n_q, control, target, phase) @ state.amps
-            apply_controlled_phase(state, control, target, phase)
+            run(state, ControlledPhase(control, target, phase))
             assert np.abs(state.amps - expected).max() < 1e-12
 
 
@@ -85,64 +94,69 @@ def test_phase_shift_kernel_matches_dense(n_q):
         phase = rng.uniform(-8, 8)
         state = random_state(n_q, rng)
         expected = dense_phase_shift(n_q, target, phase) @ state.amps
-        apply_phase_shift(state, target, phase)
+        run(state, PhaseShift(target, phase))
         assert np.abs(state.amps - expected).max() < 1e-12
 
 
 def test_controlled_phase_basics():
     state = StateVector(2, [0, 0, 0, 1])
-    apply_controlled_phase(state, 1, 2, math.pi)
+    run(state, ControlledPhase(1, 2, math.pi))
     np.testing.assert_allclose(state.amps, [0, 0, 0, -1], atol=1e-15)
 
     state = StateVector(2, [0, 0, 1, 0])  # |10>: control/target not both 1
-    apply_controlled_phase(state, 1, 2, 1.234)
+    run(state, ControlledPhase(1, 2, 1.234))
     np.testing.assert_array_equal(state.amps, [0, 0, 1, 0])
 
     state = random_state(3, np.random.default_rng(3))
     before = state.amps.copy()
-    apply_controlled_phase(state, 2, 3, 0.0)
+    run(state, ControlledPhase(2, 3, 0.0))
     np.testing.assert_array_equal(state.amps, before)
 
 
 def test_gate_input_validation():
     state = StateVector.computational_basis(3, 0)
     with pytest.raises(ValueError):
-        apply_single_qubit(state, 0, HADAMARD)
+        run(state, Hadamard(0))
     with pytest.raises(ValueError):
-        apply_single_qubit(state, 4, HADAMARD)
+        run(state, Hadamard(4))
     with pytest.raises(ValueError):
-        apply_single_qubit(state, 1, np.array([[1, 1], [0, 1]]))  # not unitary
+        run(state, ControlledPhase(2, 2, 0.5))
     with pytest.raises(ValueError):
-        apply_controlled_phase(state, 2, 2, 0.5)
+        run(state, ControlledPhase(1, 5, 0.5))
     with pytest.raises(ValueError):
-        apply_controlled_phase(state, 1, 5, 0.5)
+        apply_program(GateProgram(4, (Hadamard(1),)), state)
 
 
 def test_bit_reversal_permutation_involution():
     for n_q in (1, 2, 3, 6):
         perm = bit_reversal_permutation(n_q)
         assert np.array_equal(perm[perm], np.arange(1 << n_q))
+        # reference: reverse each index's n_q-digit binary string
+        reference = [int(format(j, f"0{n_q}b")[::-1], 2) for j in range(1 << n_q)]
+        assert perm.tolist() == reference
     rng = np.random.default_rng(4)
     state = random_state(5, rng)
     before = state.amps.copy()
-    apply_bit_reversal(state)
-    assert not np.array_equal(state.amps, before)
-    apply_bit_reversal(state)
+    run(state, BitReversal())
+    np.testing.assert_array_equal(state.amps, before[bit_reversal_permutation(5)])
+    run(state, BitReversal())
     np.testing.assert_array_equal(state.amps, before)
 
 
 def test_norm_preserved_over_many_gates():
     rng = np.random.default_rng(5)
     state = random_state(6, rng)
+    gates = []
     for _ in range(2500):
         kind = rng.integers(3)
         if kind == 0:
-            apply_single_qubit(state, int(rng.integers(1, 7)), random_unitary_2x2(rng))
+            gates.append(Hadamard(int(rng.integers(1, 7))))
         elif kind == 1:
             q = sorted(rng.choice(np.arange(1, 7), size=2, replace=False))
-            apply_controlled_phase(state, int(q[0]), int(q[1]), rng.uniform(-6, 6))
+            gates.append(ControlledPhase(int(q[0]), int(q[1]), rng.uniform(-6, 6)))
         else:
-            apply_phase_shift(state, int(rng.integers(1, 7)), rng.uniform(-6, 6))
+            gates.append(PhaseShift(int(rng.integers(1, 7)), rng.uniform(-6, 6)))
+    run(state, *gates)
     assert state.norm_error() < 1e-10
 
 
@@ -188,9 +202,15 @@ def test_partial_trace_two_qubit_outer_product():
 
 
 def test_partial_trace_output_is_valid_density():
+    # Hermitian, unit trace, positive semidefinite
     rng = np.random.default_rng(8)
     for n_q in (2, 3, 5, 7):
-        check_two_qubit_density(partial_trace_12(random_state(n_q, rng)))
+        rho = partial_trace_12(random_state(n_q, rng))
+        assert rho.shape == (4, 4)
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert abs(np.trace(rho).imag) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
 def test_fidelity_basics():
