@@ -4,8 +4,8 @@ extraction of their decay laws."""
 
 __version__ = "0.1.0"
 
-from .echo import EchoConfig, EchoRecord, initial_state, measure_state, run_echo_curve, run_trace
-from .engine import BoundProgram, NoiseModel, apply_noisy, apply_program, tilted_hadamard
+from .echo import EchoConfig, EchoRecord, initial_state, realization_rng, run_echo_curve, run_trace
+from .engine import BoundProgram, apply_program, tilted_hadamard
 from .fits import (
     FitResult,
     UnresolvedThreshold,
@@ -15,7 +15,6 @@ from .fits import (
     threshold_time,
 )
 from .measures import (
-    MeasureSet,
     bell_density,
     binary_entropy,
     concurrence,

@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
     trace.add_argument(
         "--from-manifest", type=Path, help="re-run the experiment recorded in a manifest"
     )
-    trace.set_defaults(handler=cmd_trace)
+    trace.set_defaults(handler=cmd_run, tr_grid=None)
 
     curve = commands.add_parser(
         "echo-curve", help="echo-time observables across a reversal-time grid"
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     curve.add_argument(
         "--from-manifest", type=Path, help="re-run the experiment recorded in a manifest"
     )
-    curve.set_defaults(handler=cmd_echo_curve)
+    curve.set_defaults(handler=cmd_run, tr=None)
 
     scaling = commands.add_parser(
         "scaling", help="decay-law fits over a grid of qubit counts and strengths"
@@ -183,7 +183,7 @@ def _require(args, names):
 
 def _base_manifest(command: str, config: EchoConfig, csv_path: Path) -> dict:
     params = MapParams(config.n_q, config.K)
-    return {
+    manifest = {
         "command": command,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -198,6 +198,11 @@ def _base_manifest(command: str, config: EchoConfig, csv_path: Path) -> dict:
         "n_g_per_iteration": gates_per_iteration(config.n_q),
         "csv": csv_path.name,
     }
+    if command == "trace":
+        manifest["t_r"] = config.t_r
+    else:
+        manifest["t_r_grid"] = list(config.t_r_grid)
+    return manifest
 
 
 def _require_keys(manifest: dict, path: Path, keys) -> None:
@@ -223,56 +228,35 @@ def _config_from_manifest(manifest: dict, command: str, threads) -> EchoConfig:
     )
 
 
-def cmd_trace(args) -> int:
+def cmd_run(args) -> int:
+    """trace and echo-curve: one experiment, from flags or from a manifest."""
+    trace = args.command == "trace"
     if args.from_manifest is not None:
         manifest = load_manifest(args.from_manifest)
-        _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + ("t_r",))
-        config = _config_from_manifest(manifest, "trace", args.threads)
+        grid_key = "t_r" if trace else "t_r_grid"
+        _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + (grid_key,))
+        config = _config_from_manifest(manifest, args.command, args.threads)
         out = args.out or args.from_manifest.parent / manifest["csv"]
     else:
-        _require(args, ["nq", "tr", "epsilon", "out"])
+        required = ["nq", "tr", "epsilon", "out"] if trace else ["nq", "epsilon", "out"]
+        _require(args, required)
         config = EchoConfig(
             n_q=args.nq,
             epsilon=args.epsilon,
             K=args.K,
             t_r=args.tr,
+            t_r_grid=None if trace else parse_int_grid(args.tr_grid),
             realizations=args.realizations,
             master_seed=args.seed,
             workers=args.threads,
         )
         out = args.out
-    records = run_trace(config)
-    write_csv(out, TRACE_HEADER, records_to_rows(records))
-    manifest = _base_manifest("trace", config, out)
-    manifest["t_r"] = config.t_r
-    write_manifest(manifest_path_for(out), manifest)
-    print(f"wrote {len(records)} rows -> {out}")
-    return EXIT_OK
-
-
-def cmd_echo_curve(args) -> int:
-    if args.from_manifest is not None:
-        manifest = load_manifest(args.from_manifest)
-        _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + ("t_r_grid",))
-        config = _config_from_manifest(manifest, "echo-curve", args.threads)
-        out = args.out or args.from_manifest.parent / manifest["csv"]
+    if trace:
+        records, header = run_trace(config), TRACE_HEADER
     else:
-        _require(args, ["nq", "epsilon", "out"])
-        config = EchoConfig(
-            n_q=args.nq,
-            epsilon=args.epsilon,
-            K=args.K,
-            t_r_grid=parse_int_grid(args.tr_grid),
-            realizations=args.realizations,
-            master_seed=args.seed,
-            workers=args.threads,
-        )
-        out = args.out
-    records = run_echo_curve(config)
-    write_csv(out, CURVE_HEADER, records_to_rows(records))
-    manifest = _base_manifest("echo-curve", config, out)
-    manifest["t_r_grid"] = list(config.t_r_grid)
-    write_manifest(manifest_path_for(out), manifest)
+        records, header = run_echo_curve(config), CURVE_HEADER
+    write_csv(out, header, records_to_rows(records))
+    write_manifest(manifest_path_for(out), _base_manifest(args.command, config, out))
     print(f"wrote {len(records)} rows -> {out}")
     return EXIT_OK
 
@@ -315,19 +299,10 @@ def cmd_scaling(args) -> int:
         curves_dir = args.curves_dir or args.out.parent / (args.out.stem + "_curves")
         curves_dir.mkdir(parents=True, exist_ok=True)
         curve_files = []
-        for n_q, epsilon, records in curves:
+        for point, (n_q, epsilon, records) in zip(config.echo_configs, curves):
             csv_path = curves_dir / f"echo_nq{n_q}_eps{epsilon!r}.csv"
             write_csv(csv_path, CURVE_HEADER, records_to_rows(records))
-            point_config = EchoConfig(
-                n_q=n_q,
-                epsilon=epsilon,
-                K=config.K,
-                t_r_grid=config.t_r_grid,
-                realizations=config.realizations,
-                master_seed=config.master_seed,
-            )
-            manifest = _base_manifest("echo-curve", point_config, csv_path)
-            manifest["t_r_grid"] = list(config.t_r_grid)
+            manifest = _base_manifest("echo-curve", point, csv_path)
             write_manifest(manifest_path_for(csv_path), manifest)
             curve_files.append(str(csv_path))
         summary["config"] = {

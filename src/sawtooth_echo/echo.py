@@ -6,10 +6,10 @@ exact gate-by-gate inverse program, with fresh noise), and records pairwise
 entanglement of formation, two-qubit entropy, and fidelity with the initial
 state.  The echo occurs at t_e = 2*t_r.
 
-Every (reversal time, realization) pair draws from an independent stream
-keyed by (master_seed, t_r, realization), so individual realizations are
-reproducible, grid points are uncorrelated, and results do not depend on
-how work is split across processes.
+Every (reversal time, realization) pair draws from its own stream,
+realization_rng(master_seed, t_r, realization), so individual realizations
+are reproducible, grid points are uncorrelated, and results do not depend
+on how work is split across processes.
 """
 
 import math
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BoundProgram
-from .measures import MeasureSet, concurrence, eof, von_neumann_entropy
+from .measures import concurrence, eof, von_neumann_entropy
 from .program import MapParams, map_program
-from .state import StateVector, fidelity, partial_trace_12
+from .state import StateVector
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,12 @@ class EchoConfig:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not math.isfinite(self.K):
             raise ValueError(f"K must be finite, got {self.K}")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if self.n_q + 4 >= memory.bit_length():  # 16 bytes * 2**n_q > memory
+            raise ValueError(
+                f"an n_q = {self.n_q} register needs 2**{self.n_q + 4} bytes, "
+                f"more than the {memory} bytes of physical memory"
+            )
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.master_seed < 0:
@@ -91,16 +97,10 @@ def initial_state(n_q: int) -> StateVector:
     return StateVector(n_q, amps)
 
 
-def measure_state(state: StateVector, reference: StateVector) -> MeasureSet:
-    """Concurrence, entanglement of formation, entropy, and fidelity."""
-    rho = partial_trace_12(state)
-    c = concurrence(rho)
-    return MeasureSet(
-        concurrence=c,
-        eof=eof(c),
-        entropy=von_neumann_entropy(rho),
-        fidelity=fidelity(state, reference),
-    )
+def realization_rng(master_seed: int, t_r: int, r: int) -> np.random.Generator:
+    """The noise stream of realization r at reversal time t_r: the one
+    stream contract of every echo experiment."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, t_r, r]))
 
 
 def _record_measures(amps: np.ndarray, bell_index: int, out: np.ndarray) -> None:
@@ -114,6 +114,27 @@ def _record_measures(amps: np.ndarray, bell_index: int, out: np.ndarray) -> None
     out[2] = 0.5 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
 
 
+def _bind_echo(n_q: int, K: float, amps: np.ndarray):
+    """The forward map iteration and its inverse, bound to one buffer."""
+    forward_program = map_program(MapParams(n_q, K))
+    return (
+        BoundProgram(forward_program, amps),
+        BoundProgram(forward_program.inverse(), amps),
+    )
+
+
+def _echo_steps(forward, backward, rng, epsilon: float, t_r: int):
+    """Evolve one realization on the buffer both programs are bound to.
+
+    Yields t = 0 for the start vector, then t after each of the 2*t_r noisy
+    iterations: forward while t <= t_r, backward after.
+    """
+    yield 0
+    for t in range(1, 2 * t_r + 1):
+        (forward if t <= t_r else backward).apply_noisy(rng, epsilon)
+        yield t
+
+
 def _echo_block(task) -> np.ndarray:
     """Observables for a block of realizations at one reversal time.
 
@@ -122,40 +143,23 @@ def _echo_block(task) -> np.ndarray:
     (eof, entropy, fidelity).
     """
     n_q, K, epsilon, t_r, master_seed, first, count, record_trace = task
-    params = MapParams(n_q, K)
-    forward_program = map_program(params)
-    amps = np.empty(1 << n_q, dtype=np.complex128)
-    forward = BoundProgram(forward_program, amps)
-    backward = BoundProgram(forward_program.inverse(), amps)
+    start = initial_state(n_q).amps
+    amps = np.empty_like(start)
+    forward, backward = _bind_echo(n_q, K, amps)
     bell_index = 3 << (n_q - 2)
-    root_half = math.sqrt(0.5)
-    steps = 2 * t_r + 1
-    out = np.empty((count, steps, 3)) if record_trace else np.empty((count, 3))
+    out = np.empty((count, 2 * t_r + 1, 3) if record_trace else (count, 3))
     for b in range(count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([master_seed, t_r, first + b])
-        )
-        amps[:] = 0.0
-        amps[0] = root_half
-        amps[bell_index] = root_half
-        if record_trace:
-            _record_measures(amps, bell_index, out[b, 0])
-            for t in range(1, t_r + 1):
-                forward.apply_noisy(rng, epsilon)
+        amps[:] = start
+        rng = realization_rng(master_seed, t_r, first + b)
+        for t in _echo_steps(forward, backward, rng, epsilon, t_r):
+            if record_trace:
                 _record_measures(amps, bell_index, out[b, t])
-            for t in range(t_r + 1, steps):
-                backward.apply_noisy(rng, epsilon)
-                _record_measures(amps, bell_index, out[b, t])
-        else:
-            for _ in range(t_r):
-                forward.apply_noisy(rng, epsilon)
-            for _ in range(t_r):
-                backward.apply_noisy(rng, epsilon)
+        if not record_trace:
             _record_measures(amps, bell_index, out[b])
     return out
 
 
-def _scatter(tasks, workers, costs):
+def _scatter(tasks, workers):
     """Run tasks (expensive first) and return results in task order.
 
     Aggregation downstream folds realizations in index order, so the result
@@ -166,7 +170,12 @@ def _scatter(tasks, workers, costs):
         for i, task in enumerate(tasks):
             results[i] = _echo_block(task)
         return results
-    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
+
+    def cost(i):  # realizations times the 2*t_r + 1 steps of each
+        _, _, _, t_r, _, _, count, _ = tasks[i]
+        return count * (2 * t_r + 1)
+
+    order = sorted(range(len(tasks)), key=cost, reverse=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {i: pool.submit(_echo_block, tasks[i]) for i in order}
         for i, future in futures.items():
@@ -200,6 +209,19 @@ def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
     )
 
 
+def _task(config: EchoConfig, t_r: int, first: int, count: int, record_trace: bool):
+    return (
+        config.n_q,
+        config.K,
+        config.epsilon,
+        t_r,
+        config.master_seed,
+        first,
+        count,
+        record_trace,
+    )
+
+
 def run_trace(config: EchoConfig) -> list:
     """Observables after every iteration of one echo experiment,
     t = 0 .. 2*t_r, averaged over realizations."""
@@ -207,20 +229,10 @@ def run_trace(config: EchoConfig) -> list:
         raise ValueError("trace mode needs t_r")
     workers = config.resolved_workers()
     tasks = [
-        (
-            config.n_q,
-            config.K,
-            config.epsilon,
-            config.t_r,
-            config.master_seed,
-            first,
-            count,
-            True,
-        )
+        _task(config, config.t_r, first, count, True)
         for first, count in _chunk_ranges(config.realizations, workers)
     ]
-    costs = [task[6] * (2 * config.t_r + 1) for task in tasks]
-    blocks = np.concatenate(_scatter(tasks, workers, costs), axis=0)
+    blocks = np.concatenate(_scatter(tasks, workers), axis=0)
     return [_aggregate(t, blocks[:, t, :]) for t in range(2 * config.t_r + 1)]
 
 
@@ -231,22 +243,8 @@ def run_echo_curve(config: EchoConfig) -> list:
     """
     if config.t_r_grid is None:
         raise ValueError("echo-curve mode needs t_r_grid")
-    workers = config.resolved_workers()
-    tasks = [
-        (
-            config.n_q,
-            config.K,
-            config.epsilon,
-            t_r,
-            config.master_seed,
-            0,
-            config.realizations,
-            False,
-        )
-        for t_r in config.t_r_grid
-    ]
-    costs = [2 * t_r * config.realizations + 1 for t_r in config.t_r_grid]
-    blocks = _scatter(tasks, workers, costs)
+    tasks = [_task(config, t_r, 0, config.realizations, False) for t_r in config.t_r_grid]
+    blocks = _scatter(tasks, config.resolved_workers())
     return [
         _aggregate(2 * t_r, block) for t_r, block in zip(config.t_r_grid, blocks)
     ]

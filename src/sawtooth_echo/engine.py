@@ -16,14 +16,14 @@ every application including backward evolution):
 A program compiles into alternating ops: each Hadamard, and one fused
 diagonal for each maximal run of phase-type gates and bit reversals between
 Hadamards (a map iteration has 4*n_q ops).  Draws are consumed in program
-order from a per-realization generator, one uniform vector per
-application, so a fixed (master seed, reversal time, realization) triple
-reproduces every amplitude bit-for-bit.  eps = 0 short-circuits to the
+order from the caller's generator, one uniform vector per application;
+the echo protocol passes each realization's own stream
+(echo.realization_rng), so a fixed (master seed, reversal time,
+realization) triple reproduces every amplitude bit-for-bit.  eps = 0 short-circuits to the
 precomputed ideal tables of the same ops.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, groupby
 
@@ -33,29 +33,6 @@ from .program import BitReversal, ControlledPhase, GateProgram, Hadamard, PhaseS
 from .state import StateVector, bit_reversal_permutation
 
 _INV_SQRT2 = math.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Perturbation strength plus the deterministic random-stream contract.
-
-    Streams derive from SeedSequence([master_seed, *key]); distinct keys give
-    statistically independent, individually reproducible generators.
-    """
-
-    epsilon: float
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-
-    def stream(self, *key: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([int(self.master_seed), *(int(k) for k in key)])
-        )
 
 
 def tilted_hadamard(nu: float) -> np.ndarray:
@@ -287,21 +264,3 @@ def apply_program(program: GateProgram, state: StateVector) -> StateVector:
     BoundProgram(program, state.amps).apply_ideal()
     return state
 
-
-def apply_noisy(
-    program: GateProgram,
-    state: StateVector,
-    noise: NoiseModel,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
-    """Apply the program with fresh per-gate noise drawn from rng.
-
-    Without an explicit generator the model's base stream is used; protocol
-    code passes per-realization streams so runs are reproducible.
-    """
-    if program.n_q != state.n_q:
-        raise ValueError("program and state have different qubit counts")
-    BoundProgram(program, state.amps).apply_noisy(
-        noise.stream() if rng is None else rng, noise.epsilon
-    )
-    return state

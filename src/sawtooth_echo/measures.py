@@ -14,7 +14,6 @@ the SVD keeps the noiseless-echo identity sharp at the 1e-12 level.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +32,6 @@ _SY_SY = np.array(
 EIGENVALUE_CLAMP = 1e-10
 
 _HERMITICITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MeasureSet:
-    """Observables of one register snapshot."""
-
-    concurrence: float
-    eof: float
-    entropy: float
-    fidelity: float
 
 
 def _as_density(rho) -> np.ndarray:

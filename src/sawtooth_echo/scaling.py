@@ -38,6 +38,12 @@ DEFAULT_T_R_GRID = (
 
 @dataclass(frozen=True)
 class ScalingConfig:
+    """A (n_q, epsilon) grid of echo curves.
+
+    The per-point echo configurations are built, and so validated, at
+    construction, so a bad grid point fails before any point is simulated.
+    """
+
     nq_list: tuple
     epsilon_list: tuple
     t_r_grid: tuple = DEFAULT_T_R_GRID
@@ -46,6 +52,7 @@ class ScalingConfig:
     c: float = 0.9
     K: float = 5.0
     workers: int | None = None
+    echo_configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nq_list", tuple(int(n) for n in self.nq_list))
@@ -55,12 +62,22 @@ class ScalingConfig:
         object.__setattr__(self, "t_r_grid", tuple(int(t) for t in self.t_r_grid))
         if not self.nq_list or not self.epsilon_list:
             raise ValueError("scaling needs at least one n_q and one epsilon")
-        if not all(math.isfinite(e) and e >= 0.0 for e in self.epsilon_list):
-            raise ValueError(f"epsilons must be finite and >= 0, got {self.epsilon_list}")
-        if not math.isfinite(self.K):
-            raise ValueError(f"K must be finite, got {self.K}")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"threshold c must lie in (0, 1), got {self.c}")
+        echo_configs = tuple(
+            EchoConfig(
+                n_q=n_q,
+                epsilon=epsilon,
+                K=self.K,
+                t_r_grid=self.t_r_grid,
+                realizations=self.realizations,
+                master_seed=self.master_seed,
+                workers=self.workers,
+            )
+            for n_q in self.nq_list
+            for epsilon in self.epsilon_list
+        )
+        object.__setattr__(self, "echo_configs", echo_configs)
 
 
 @dataclass
@@ -217,21 +234,10 @@ def run_scaling(config: ScalingConfig):
     """
     points = []
     curves = []
-    for n_q in config.nq_list:
-        for epsilon in config.epsilon_list:
-            records = run_echo_curve(
-                EchoConfig(
-                    n_q=n_q,
-                    epsilon=epsilon,
-                    K=config.K,
-                    t_r_grid=config.t_r_grid,
-                    realizations=config.realizations,
-                    master_seed=config.master_seed,
-                    workers=config.workers,
-                )
-            )
-            curves.append((n_q, epsilon, records))
-            points.append(analyze_curve(n_q, epsilon, records, config.c))
+    for point in config.echo_configs:
+        records = run_echo_curve(point)
+        curves.append((point.n_q, point.epsilon, records))
+        points.append(analyze_curve(point.n_q, point.epsilon, records, config.c))
     return summarize_points(points, config.c), curves
 
 

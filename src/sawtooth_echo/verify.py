@@ -1,13 +1,18 @@
 """Built-in verification suite: gate programs against dense oracles,
 measure fixtures, and the noiseless-echo identity."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import EchoConfig, run_trace
-from .engine import BoundProgram
+from .echo import (
+    EchoConfig,
+    _bind_echo,
+    _echo_steps,
+    initial_state,
+    realization_rng,
+    run_trace,
+)
 from .measures import (
     bell_density,
     concurrence,
@@ -17,7 +22,6 @@ from .measures import (
 )
 from .oracle import align_global_phase, dense_map_unitary, dft_matrix, program_unitary
 from .program import MapParams, map_program, qft_program
-from .state import StateVector
 
 
 @dataclass(frozen=True)
@@ -112,17 +116,11 @@ def check_noiseless_echo(n_q: int = 6, t_r: int = 10) -> CheckResult:
 
 def check_noisy_norm_preservation(n_q: int = 6, t_r: int = 20) -> CheckResult:
     """Unitary noise must keep the state normalized over a full experiment."""
-    params = MapParams(n_q, 5.0)
-    amps = np.zeros(1 << n_q, dtype=np.complex128)
-    amps[0] = amps[3 << (n_q - 2)] = math.sqrt(0.5)
-    forward = BoundProgram(map_program(params), amps)
-    backward = BoundProgram(map_program(params, "backward"), amps)
-    rng = np.random.default_rng(np.random.SeedSequence([7, t_r, 0]))
-    for _ in range(t_r):
-        forward.apply_noisy(rng, 0.03)
-    for _ in range(t_r):
-        backward.apply_noisy(rng, 0.03)
-    drift = StateVector(n_q, amps).norm_error()
+    state = initial_state(n_q)
+    forward, backward = _bind_echo(n_q, 5.0, state.amps)
+    for _ in _echo_steps(forward, backward, realization_rng(7, t_r, 0), 0.03, t_r):
+        pass
+    drift = state.norm_error()
     return CheckResult(
         name="noisy-norm-preservation",
         passed=drift < 1e-10,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sawtooth_echo import cli
+from sawtooth_echo import cli, scaling
 from sawtooth_echo.echo import EchoConfig, run_trace
 from sawtooth_echo.measures import ergodic_entropy_reference
 from sawtooth_echo.output import (
@@ -159,6 +159,32 @@ def test_non_finite_parameters_exit_one(tmp_path, capsys, value):
     assert run_cli(*scaling, "--epsilon-list", f"0.01,{value}") == 1
     assert run_cli(*scaling, "--epsilon-list", "0.01", "--K", value) == 1
     assert run_cli(*scaling, "--epsilon-list", "0.01", "--c", value) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_register_too_large_exits_one(tmp_path, capsys, threads):
+    # 2**40 amplitudes are 16 TiB: refused before anything is allocated
+    out = tmp_path / "x.csv"
+    assert run_cli(*trace_args(out, nq=40, threads=threads)) == 1
+    assert run_cli("echo-curve", "--nq", 40, "--epsilon", 0.01, "--threads", threads, "--out", out) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.count("physical memory") == 2
+
+
+@pytest.mark.parametrize("nq_list", ["6,1", "6,40"])
+def test_scaling_validates_every_point_before_simulating(tmp_path, capsys, monkeypatch, nq_list):
+    calls = []
+    monkeypatch.setattr(scaling, "run_echo_curve", lambda config: calls.append(config) or [])
+    out = tmp_path / "s.json"
+    code = run_cli(
+        "scaling", "--nq-list", nq_list, "--epsilon-list", "0.01",
+        "--tr-grid", "1..20", "--realizations", 20, "--out", out,
+    )
+    assert code == 1
+    assert calls == []
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
 

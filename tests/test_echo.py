@@ -8,14 +8,15 @@ import pytest
 from sawtooth_echo import (
     EchoConfig,
     EchoRecord,
+    ScalingConfig,
     concurrence,
     initial_state,
-    measure_state,
     partial_trace_12,
     run_echo_curve,
     run_trace,
     von_neumann_entropy,
 )
+from sawtooth_echo.echo import _record_measures
 
 
 def test_initial_state_two_qubits():
@@ -38,9 +39,12 @@ def test_initial_state_measures():
     rho = partial_trace_12(state)
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
-    measures = measure_state(state, state)
-    assert measures.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert measures.eof == pytest.approx(1.0, abs=1e-12)
+    measures = np.empty(3)
+    _record_measures(state.amps, 3 << (4 - 2), measures)  # |1100> carries the pair
+    eof, entropy, fidelity = measures
+    assert eof == pytest.approx(1.0, abs=1e-12)
+    assert entropy == pytest.approx(0.0, abs=1e-12)
+    assert fidelity == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         initial_state(1)
 
@@ -191,8 +195,16 @@ def test_echo_curve_shape_matches_observed_decay():
 def test_config_validation():
     with pytest.raises(ValueError):
         EchoConfig(n_q=1, epsilon=0.0, t_r=3)
-    with pytest.raises(ValueError):
-        EchoConfig(n_q=3, epsilon=-0.1, t_r=3)
+    for epsilon in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            EchoConfig(n_q=3, epsilon=epsilon, t_r=3)
+        with pytest.raises(ValueError):
+            ScalingConfig(nq_list=(3,), epsilon_list=(0.01, epsilon))
+    # a register larger than physical memory is refused before allocation
+    with pytest.raises(ValueError, match="physical memory"):
+        EchoConfig(n_q=40, epsilon=0.0, t_r=3)
+    with pytest.raises(ValueError, match="physical memory"):
+        ScalingConfig(nq_list=(3, 40), epsilon_list=(0.01,))
     with pytest.raises(ValueError):
         EchoConfig(n_q=3, epsilon=0.1, t_r=3, realizations=0)
     with pytest.raises(ValueError):

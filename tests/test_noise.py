@@ -12,13 +12,12 @@ from sawtooth_echo import (
     GateProgram,
     Hadamard,
     MapParams,
-    NoiseModel,
     PhaseShift,
-    apply_noisy,
     apply_program,
     fidelity,
     gates_per_iteration,
     map_program,
+    realization_rng,
     tilted_hadamard,
 )
 from sawtooth_echo.engine import BoundProgram
@@ -30,7 +29,7 @@ def test_zero_noise_reproduces_ideal_bit_for_bit():
     ideal = random_state(5, rng)
     noisy = ideal.copy()
     apply_program(program, ideal)
-    apply_noisy(program, noisy, NoiseModel(0.0, master_seed=3))
+    BoundProgram(program, noisy.amps).apply_noisy(realization_rng(3, 0, 0), 0.0)
     np.testing.assert_array_equal(noisy.amps, ideal.amps)
 
 
@@ -60,37 +59,29 @@ def test_mean_tilted_hadamard_deviation_is_second_order():
 
 
 def test_noise_streams_are_reproducible_and_distinct():
-    noise = NoiseModel(0.02, master_seed=11)
-    a = noise.stream(3, 7).uniform(-1, 1, 8)
-    b = noise.stream(3, 7).uniform(-1, 1, 8)
-    c = noise.stream(3, 8).uniform(-1, 1, 8)
+    a = realization_rng(11, 3, 7).uniform(-1, 1, 8)
+    b = realization_rng(11, 3, 7).uniform(-1, 1, 8)
+    c = realization_rng(11, 3, 8).uniform(-1, 1, 8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    for epsilon in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            NoiseModel(epsilon)
 
 
 def test_noisy_application_is_reproducible():
     program = map_program(MapParams(4, 5.0))
-    noise = NoiseModel(0.05, master_seed=9)
-    rng1 = noise.stream(0, 0)
-    rng2 = noise.stream(0, 0)
     s1 = random_state(4, np.random.default_rng(2))
     s2 = s1.copy()
-    apply_noisy(program, s1, noise, rng1)
-    apply_noisy(program, s2, noise, rng2)
+    BoundProgram(program, s1.amps).apply_noisy(realization_rng(9, 0, 0), 0.05)
+    BoundProgram(program, s2.amps).apply_noisy(realization_rng(9, 0, 0), 0.05)
     np.testing.assert_array_equal(s1.amps, s2.amps)
 
 
 def test_noisy_gates_preserve_norm():
     program = map_program(MapParams(6, 5.0))
     state = random_state(6, np.random.default_rng(3))
-    noise = NoiseModel(0.08, master_seed=1)
-    rng = noise.stream(0, 0)
+    rng = realization_rng(1, 0, 0)
     bound = BoundProgram(program, state.amps)
     for _ in range(125):  # > 1e4 noisy gates
-        bound.apply_noisy(rng, noise.epsilon)
+        bound.apply_noisy(rng, 0.08)
     assert state.norm_error() < 1e-10
 
 
@@ -100,7 +91,6 @@ def test_single_noisy_iteration_fidelity_bound():
     n_q, epsilon = 5, 1e-2
     params = MapParams(n_q, 5.0)
     program = map_program(params)
-    noise = NoiseModel(epsilon, master_seed=17)
     rng = np.random.default_rng(4)
     total = 0.0
     draws = 100
@@ -108,7 +98,7 @@ def test_single_noisy_iteration_fidelity_bound():
         state = random_state(n_q, rng)
         reference = state.copy()
         apply_program(program, reference)
-        apply_noisy(program, state, noise, noise.stream(r))
+        BoundProgram(program, state.amps).apply_noisy(realization_rng(17, 0, r), epsilon)
         total += fidelity(state, reference)
     mean_fidelity = total / draws
     assert mean_fidelity >= 1 - 10 * gates_per_iteration(n_q) * epsilon**2
@@ -131,7 +121,7 @@ def test_noisy_controlled_phase_leaves_control_zero_block():
         program = GateProgram(4, (ControlledPhase(control, target, 0.73),))
         state = random_state(4, rng)
         before = state.amps.copy()
-        apply_noisy(program, state, NoiseModel(0.3, master_seed=8))
+        BoundProgram(program, state.amps).apply_noisy(realization_rng(8, 0, 0), 0.3)
         control_bit = (np.arange(16) >> (4 - control)) & 1
         np.testing.assert_array_equal(
             state.amps[control_bit == 0], before[control_bit == 0]
