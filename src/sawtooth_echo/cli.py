@@ -83,59 +83,54 @@ def parse_float_list(text: str):
     return values
 
 
-def _add_run_options(sub, realizations_default=400):
-    sub.add_argument("--nq", type=int, help="number of qubits")
-    sub.add_argument("--K", type=float, default=5.0, help="chaos parameter (default 5)")
-    sub.add_argument("--epsilon", type=float, help="perturbation strength")
-    sub.add_argument(
-        "--realizations",
-        type=int,
-        default=realizations_default,
-        help=f"noise realizations to average (default {realizations_default})",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="parallel realization workers (default: available cores)",
-    )
-    sub.add_argument("--out", type=Path, help="output CSV path")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sawtooth-echo", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
     trace = commands.add_parser(
         "trace", help="observables after every iteration of one echo experiment"
     )
-    _add_run_options(trace)
-    trace.add_argument("--tr", type=int, help="reversal time in map iterations")
-    trace.add_argument(
-        "--from-manifest", type=Path, help="re-run the experiment recorded in a manifest"
-    )
-    trace.set_defaults(handler=cmd_run, tr_grid=None)
-
     curve = commands.add_parser(
         "echo-curve", help="echo-time observables across a reversal-time grid"
     )
-    _add_run_options(curve)
+    scaling = commands.add_parser(
+        "scaling", help="decay-law fits over a grid of qubit counts and strengths"
+    )
+    for sub in (trace, curve, scaling):
+        sub.add_argument("--K", type=float, default=5.0, help="chaos parameter (default 5)")
+        sub.add_argument(
+            "--realizations",
+            type=int,
+            default=200 if sub is scaling else 400,
+            help="noise realizations to average (default %(default)s)",
+        )
+        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sub.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="parallel realization workers (default: available cores)",
+        )
+        sub.add_argument(
+            "--out", type=Path, help="output path (CSV; JSON summary for scaling)"
+        )
+    for sub in (trace, curve):
+        sub.add_argument("--nq", type=int, help="number of qubits")
+        sub.add_argument("--epsilon", type=float, help="perturbation strength")
+        sub.add_argument(
+            "--from-manifest", type=Path, help="re-run the experiment recorded in a manifest"
+        )
+
+    trace.add_argument("--tr", type=int, help="reversal time in map iterations")
+    trace.set_defaults(handler=cmd_run, tr_grid=None)
     curve.add_argument(
         "--tr-grid",
         type=str,
         default="1..60",
         help="reversal times, 'a..b[:step]' or comma list (default 1..60)",
     )
-    curve.add_argument(
-        "--from-manifest", type=Path, help="re-run the experiment recorded in a manifest"
-    )
     curve.set_defaults(handler=cmd_run, tr=None)
 
-    scaling = commands.add_parser(
-        "scaling", help="decay-law fits over a grid of qubit counts and strengths"
-    )
     scaling.add_argument("--nq-list", type=str, help="qubit counts, e.g. 4,5,6")
     scaling.add_argument("--epsilon-list", type=str, help="strengths, e.g. 0.01,0.02")
     scaling.add_argument(
@@ -145,13 +140,6 @@ def build_parser() -> _Parser:
         help="reversal-time grid per point (default: built-in coarse grid)",
     )
     scaling.add_argument("--c", type=float, default=0.9, help="echo threshold (default 0.9)")
-    scaling.add_argument(
-        "--realizations", type=int, default=200, help="realizations per point (default 200)"
-    )
-    scaling.add_argument("--K", type=float, default=5.0, help="chaos parameter (default 5)")
-    scaling.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    scaling.add_argument("--threads", type=int, default=None, help="parallel workers")
-    scaling.add_argument("--out", type=Path, help="output JSON summary path")
     scaling.add_argument(
         "--curves-dir",
         type=Path,
@@ -211,11 +199,7 @@ def _require_keys(manifest: dict, path: Path, keys) -> None:
             raise UsageError(f"{path}: manifest has no {key!r} entry")
 
 
-def _config_from_manifest(manifest: dict, command: str, threads) -> EchoConfig:
-    if manifest.get("command") != command:
-        raise UsageError(
-            f"manifest records command {manifest.get('command')!r}, expected {command!r}"
-        )
+def _config_from_manifest(manifest: dict, threads) -> EchoConfig:
     return EchoConfig(
         n_q=int(manifest["n_q"]),
         epsilon=float(manifest["epsilon"]),
@@ -233,9 +217,14 @@ def cmd_run(args) -> int:
     trace = args.command == "trace"
     if args.from_manifest is not None:
         manifest = load_manifest(args.from_manifest)
+        if manifest.get("command") != args.command:
+            raise UsageError(
+                f"manifest records command {manifest.get('command')!r}, "
+                f"expected {args.command!r}"
+            )
         grid_key = "t_r" if trace else "t_r_grid"
         _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + (grid_key,))
-        config = _config_from_manifest(manifest, args.command, args.threads)
+        config = _config_from_manifest(manifest, args.threads)
         out = args.out or args.from_manifest.parent / manifest["csv"]
     else:
         required = ["nq", "tr", "epsilon", "out"] if trace else ["nq", "epsilon", "out"]
@@ -345,10 +334,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

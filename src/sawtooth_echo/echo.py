@@ -53,6 +53,8 @@ class EchoConfig:
             )
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.t_r is not None and self.t_r < 0:
@@ -68,10 +70,11 @@ class EchoConfig:
             object.__setattr__(self, "t_r_grid", grid)
 
     def resolved_workers(self) -> int:
+        """The worker count, by default the CPUs this process may run on."""
         if self.workers is not None:
-            if self.workers < 1:
-                raise ValueError(f"workers must be >= 1, got {self.workers}")
             return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

@@ -1,4 +1,4 @@
-"""Program application, ideal and with per-gate unitary noise.
+"""Program application with per-gate unitary noise.
 
 Noise model (all errors unitary, uncorrelated between gates, redrawn on
 every application including backward evolution):
@@ -15,12 +15,13 @@ every application including backward evolution):
 
 A program compiles into alternating ops: each Hadamard, and one fused
 diagonal for each maximal run of phase-type gates and bit reversals between
-Hadamards (a map iteration has 4*n_q ops).  Draws are consumed in program
-order from the caller's generator, one uniform vector per application;
-the echo protocol passes each realization's own stream
-(echo.realization_rng), so a fixed (master seed, reversal time,
-realization) triple reproduces every amplitude bit-for-bit.  eps = 0 short-circuits to the
-precomputed ideal tables of the same ops.
+Hadamards (a map iteration has 4*n_q ops), and one permutation after a
+run with an odd number of bit reversals.  Each op has one kernel, a
+function of its draws.  Draws are consumed in program order from the
+caller's generator, one uniform vector per application; the echo protocol
+passes each realization's own stream (echo.realization_rng), so a fixed
+(master seed, reversal time, realization) triple reproduces every
+amplitude bit-for-bit.  The ideal program is the same ops with zero draws.
 """
 
 import math
@@ -31,8 +32,6 @@ import numpy as np
 
 from .program import BitReversal, ControlledPhase, GateProgram, Hadamard, PhaseShift
 from .state import StateVector, bit_reversal_permutation
-
-_INV_SQRT2 = math.sqrt(0.5)
 
 
 def tilted_hadamard(nu: float) -> np.ndarray:
@@ -50,14 +49,7 @@ def _bind_hadamard(amps, n_q, target):
     keep = np.empty_like(x0)
     work = np.empty_like(x0)
 
-    def ideal():
-        # (x0, x1) -> ((x0+x1)/sqrt2, (x0-x1)/sqrt2)
-        np.add(x0, x1, out=keep)
-        np.subtract(x0, x1, out=x1)
-        np.multiply(keep, _INV_SQRT2, out=x0)
-        np.multiply(x1, _INV_SQRT2, out=x1)
-
-    def noisy(d):
+    def tilted(d):
         # axis tilted by d[0]: (x0, x1) -> (s*x0 + c*x1, c*x0 - s*x1)
         angle = 0.25 * math.pi + d[0]
         c = math.cos(angle)
@@ -69,7 +61,7 @@ def _bind_hadamard(amps, n_q, target):
         np.multiply(x1, s, out=x1)
         np.subtract(keep, x1, out=x1)
 
-    return ideal, noisy, 1
+    return tilted, 1
 
 
 @lru_cache(maxsize=None)
@@ -86,12 +78,14 @@ def _features(m):
 
 
 def _compile_diagonal(n_q, gates):
-    """Compile a maximal run of phase-type gates and bit reversals into one
-    diagonal op; returns its binder, or None when the run is the identity.
+    """Compile a maximal run of phase-type gates and bit reversals into at
+    most two ops and return their binders: one diagonal (none when the run
+    holds no phase-type gate), then one permutation when the run holds an
+    odd number of bit reversals.
 
     A bit reversal inside the run relabels qubit q as n_q + 1 - q for the
-    gates after it (BR . D . BR is diagonal), so the run is one diagonal,
-    followed by one reversal when the run holds an odd number of them.
+    gates after it (BR . D . BR is diagonal), so the run is one diagonal
+    followed by the reversals' net permutation.
     With draws (d0, d1) a gate with qubits (controls..., target) adds
     d0 * prod(controls) + (phase + d1 - d0) * prod(qubits) to the phase of a
     basis state: a quadratic form in the basis bits, linear in the draws.
@@ -100,8 +94,7 @@ def _compile_diagonal(n_q, gates):
     evaluated over a high/low split of the window index as
     F_high @ C @ F_low^T, where the coefficient matrix C is the ideal
     coefficients plus a linear map of the run's draws, so no table-by-draws
-    matrix is ever formed.  eps = 0 multiplies by the table of the ideal
-    coefficients, computed once.
+    matrix is ever formed.
     """
     reversed_ = False
     terms = []  # (qubits in the run's input frame, target last; phase)
@@ -118,9 +111,9 @@ def _compile_diagonal(n_q, gates):
         if reversed_:
             qubits = tuple(n_q + 1 - q for q in qubits)
         terms.append((qubits, gate.phase))
-    perm = bit_reversal_permutation(n_q) if reversed_ else None
+    permutation = [partial(_bind_permutation, n_q=n_q)] if reversed_ else []
     if not terms:
-        return partial(_bind_permutation, n_q=n_q) if reversed_ else None
+        return permutation
 
     first = min(min(qubits) for qubits, _ in terms)
     last = max(max(qubits) for qubits, _ in terms)
@@ -156,18 +149,7 @@ def _compile_diagonal(n_q, gates):
         # gates' factors would be
         offsets[both] += math.atan2(math.sin(phase), math.cos(phase))
     slots = np.array(list(cells))
-
-    def unit_factors(coefficients):  # exp(i * F_high @ C @ F_low^T), as a column
-        phase = f_high @ coefficients @ f_low_t
-        factor = np.empty(phase.shape, dtype=np.complex128)
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
-        return factor.reshape(-1, 1)
-
-    coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
-    coefficients.reshape(-1)[slots] = offsets
-    ideal = unit_factors(coefficients)
-    for table in (f_low_t, weights, slots, offsets, ideal):
+    for table in (f_low_t, weights, slots, offsets):
         table.setflags(write=False)
 
     def bind(amps):
@@ -175,30 +157,27 @@ def _compile_diagonal(n_q, gates):
         coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
         flat = coefficients.reshape(-1)
 
-        def apply_ideal():
-            np.multiply(view, ideal, out=view)
-            if reversed_:
-                amps[:] = amps[perm]
-
-        def noisy(d):
+        def diagonal(d):  # view *= exp(i * F_high @ C @ F_low^T), as a column
             flat[slots] = offsets + weights @ d
-            np.multiply(view, unit_factors(coefficients), out=view)
-            if reversed_:
-                amps[:] = amps[perm]
+            phase = f_high @ coefficients @ f_low_t
+            factor = np.empty(phase.shape, dtype=np.complex128)
+            np.cos(phase, out=factor.real)
+            np.sin(phase, out=factor.imag)
+            np.multiply(view, factor.reshape(-1, 1), out=view)
 
-        return apply_ideal, noisy, 2 * len(terms)
+        return diagonal, 2 * len(terms)
 
-    return bind
+    return [bind] + permutation
 
 
 def _bind_permutation(amps, n_q):
-    """A run of an odd number of bit reversals and nothing else."""
+    """The net bit reversal of a run with an odd number of them; draws none."""
     perm = bit_reversal_permutation(n_q)
 
-    def permute():
+    def permute(d):
         amps[:] = amps[perm]
 
-    return permute, lambda d: permute(), 0
+    return permute, 0
 
 
 @lru_cache(maxsize=32)
@@ -213,9 +192,7 @@ def _compile(program):
         if is_hadamard:
             binders += [partial(_bind_hadamard, n_q=program.n_q, target=g.target) for g in run]
         else:
-            binder = _compile_diagonal(program.n_q, tuple(run))
-            if binder is not None:
-                binders.append(binder)
+            binders += _compile_diagonal(program.n_q, tuple(run))
     return tuple(binders)
 
 
@@ -224,10 +201,11 @@ class BoundProgram:
 
     Each Hadamard is one op; each maximal run of phase shifts, controlled
     phases and bit reversals between Hadamards fuses into one diagonal op
-    (see _compile_diagonal).  Compilation is done once per program and
-    binding takes every view once, so repeated applications (thousands per
-    echo experiment) do only arithmetic.  The buffer must be the
-    C-contiguous complex128 array the views were taken from.
+    (see _compile_diagonal).  Each op binds one kernel, a function of its
+    slice of the draws.  Compilation is done once per program and binding
+    takes every view once, so repeated applications (thousands per echo
+    experiment) do only arithmetic.  The buffer must be the C-contiguous
+    complex128 array the views were taken from.
     """
 
     __slots__ = ("amps", "draw_count", "_ops")
@@ -239,26 +217,27 @@ class BoundProgram:
         self._ops = []
         start = 0
         for bind in _compile(program):
-            ideal, noisy, count = bind(amps)
-            self._ops.append((ideal, noisy, start, start + count))
+            kernel, count = bind(amps)
+            self._ops.append((kernel, start, start + count))
             start += count
         self.draw_count = start
 
     def apply_ideal(self) -> None:
-        for ideal, _, _, _ in self._ops:
-            ideal()
+        """The program without noise: every op at zero draws."""
+        self._apply(np.zeros(self.draw_count))
 
     def apply_noisy(self, rng: np.random.Generator, epsilon: float) -> None:
-        if epsilon == 0.0:
-            self.apply_ideal()
-            return
-        draws = rng.uniform(-epsilon, epsilon, self.draw_count)
-        for _, noisy, start, stop in self._ops:
-            noisy(draws[start:stop])
+        """One application with draws uniform in [-epsilon, epsilon]; at
+        epsilon = 0 they are zeros (rng still advances)."""
+        self._apply(rng.uniform(-epsilon, epsilon, self.draw_count))
+
+    def _apply(self, draws: np.ndarray) -> None:
+        for kernel, start, stop in self._ops:
+            kernel(draws[start:stop])
 
 
 def apply_program(program: GateProgram, state: StateVector) -> StateVector:
-    """Apply the ideal program in place."""
+    """Apply the ideal program (zero draws) in place."""
     if program.n_q != state.n_q:
         raise ValueError("program and state have different qubit counts")
     BoundProgram(program, state.amps).apply_ideal()

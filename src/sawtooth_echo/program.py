@@ -151,15 +151,12 @@ class GateProgram:
         return sum(1 for g in self.gates if not isinstance(g, BitReversal))
 
 
-def _quadratic_gates(n_q, s, shift, first_qubit_extra=0.0):
+def _quadratic_gates(n_q, s, shift):
     weights = [float(1 << (n_q - i)) for i in range(1, n_q + 1)]
     gates = []
     for i in range(1, n_q + 1):
         w = weights[i - 1]
-        phase = s * (w * w - 2.0 * shift * w)
-        if i == 1:
-            phase += first_qubit_extra
-        gates.append(PhaseShift(i, phase))
+        gates.append(PhaseShift(i, s * (w * w - 2.0 * shift * w)))
     for i in range(1, n_q + 1):
         for l in range(i + 1, n_q + 1):
             gates.append(ControlledPhase(i, l, s * 2.0 * weights[i - 1] * weights[l - 1]))
@@ -187,12 +184,12 @@ def free_rotation_program(n_q: int) -> GateProgram:
     return quadratic_phase_program(n_q, math.pi / (1 << n_q), sign=-1, shift=-0.5)
 
 
-def qft_program(n_q: int, inverse: bool = False) -> GateProgram:
+def qft_program(n_q: int) -> GateProgram:
     """Quantum Fourier transform with kernel exp(+2*pi*i*j*k/N)/sqrt(N).
 
     Standard circuit: per target qubit one Hadamard followed by controlled
     phases pi/2^d from each qubit d places below, then the output bit
-    reversal as an explicit permutation.  The inverse runs the reversed
+    reversal as an explicit permutation.  Its .inverse() runs the reversed
     sequence with negated phases.
     """
     if n_q < 1:
@@ -203,27 +200,21 @@ def qft_program(n_q: int, inverse: bool = False) -> GateProgram:
         for d in range(1, n_q - m + 1):
             gates.append(ControlledPhase(m + d, m, math.pi / (1 << d)))
     gates.append(BitReversal())
-    program = GateProgram(n_q, tuple(gates))
-    return program.inverse() if inverse else program
+    return GateProgram(n_q, tuple(gates))
 
 
-def map_program(
-    params: MapParams, direction: str = "forward", kick_sign: int = 1
-) -> GateProgram:
-    """One map iteration as a gate program.
+def map_program(params: MapParams, kick_sign: int = 1) -> GateProgram:
+    """One forward map iteration as a gate program; .inverse() is the exact
+    gate-by-gate backward iteration.
 
-    direction="backward" returns the exact gate-by-gate inverse.  kick_sign
-    flips the kick phase sign and exists only as a negative control for the
-    verification suite; physical programs use kick_sign=1.
+    kick_sign flips the kick phase sign and exists only as a negative
+    control for the verification suite; physical programs use kick_sign=1.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     kick = quadratic_phase_program(
         params.n_q, params.kick_coefficient, sign=kick_sign, shift=params.kick_shift
     )
     fourier = qft_program(params.n_q)
-    program = fourier + free_rotation_program(params.n_q) + fourier.inverse() + kick
-    return program.inverse() if direction == "backward" else program
+    return fourier + free_rotation_program(params.n_q) + fourier.inverse() + kick
 
 
 def gates_per_iteration(n_q: int) -> int:

@@ -232,17 +232,14 @@ def run_scaling(config: ScalingConfig):
 
     Curves come back as (n_q, epsilon, records) so callers can persist them.
     """
-    points = []
-    curves = []
-    for point in config.echo_configs:
-        records = run_echo_curve(point)
-        curves.append((point.n_q, point.epsilon, records))
-        points.append(analyze_curve(point.n_q, point.epsilon, records, config.c))
-    return summarize_points(points, config.c), curves
+    curves = [
+        (point.n_q, point.epsilon, run_echo_curve(point)) for point in config.echo_configs
+    ]
+    return summarize_curves(curves, config.c), curves
 
 
 def summarize_curves(curves, c: float = 0.9) -> dict:
-    """Fit pre-computed echo curves, e.g. replayed from CSV files."""
+    """Fit echo curves, simulated or replayed from CSV files."""
     points = [
         analyze_curve(n_q, epsilon, records, c) for n_q, epsilon, records in curves
     ]

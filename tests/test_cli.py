@@ -202,6 +202,26 @@ def test_manifest_missing_key_exits_one(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
 
 
+def test_manifest_command_mismatch_exits_one(tmp_path, capsys):
+    # a manifest of the other command is named as such, before any key check
+    trace_out = tmp_path / "trace.csv"
+    assert run_cli(*trace_args(trace_out)) == 0
+    curve_out = tmp_path / "curve.csv"
+    assert run_cli(
+        "echo-curve", "--nq", 3, "--epsilon", 0.02, "--tr-grid", "1,2",
+        "--realizations", 2, "--threads", 1, "--out", curve_out,
+    ) == 0
+    capsys.readouterr()
+    for command, recorded in (("trace", curve_out), ("echo-curve", trace_out)):
+        recorded_command = load_manifest(manifest_path_for(recorded))["command"]
+        replay = tmp_path / f"replay-{command}.csv"
+        code = run_cli(command, "--from-manifest", manifest_path_for(recorded), "--out", replay)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"manifest records command {recorded_command!r}" in err
+        assert not replay.exists()
+
+
 def test_module_entry_point_runs_commands():
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])

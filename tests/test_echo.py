@@ -1,6 +1,7 @@
 """Echo protocol: initial state, noiseless identity, reproducibility."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -215,6 +216,21 @@ def test_config_validation():
         run_trace(EchoConfig(n_q=3, epsilon=0.1, t_r_grid=(1, 2)))
     with pytest.raises(ValueError):
         run_echo_curve(EchoConfig(n_q=3, epsilon=0.1, t_r=4))
+
+
+def test_workers_decided_at_construction(monkeypatch):
+    # the default is the CPUs this process may run on, not the machine's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert EchoConfig(n_q=3, epsilon=0.01, t_r=2).resolved_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert EchoConfig(n_q=3, epsilon=0.01, t_r=2).resolved_workers() == 3
+    assert EchoConfig(n_q=3, epsilon=0.01, t_r=2, workers=5).resolved_workers() == 5
+    # a bad count fails at construction, before any run starts a pool
+    with pytest.raises(ValueError, match="workers"):
+        EchoConfig(n_q=3, epsilon=0.01, t_r=2, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        ScalingConfig(nq_list=(3,), epsilon_list=(0.01,), workers=0)
 
 
 def test_record_is_plain_data():

@@ -181,7 +181,7 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q):
     rng = np.random.default_rng(40 + n_q)
     params = MapParams(n_q, 5.0)
     programs = [_random_program(n_q, reversals, rng) for reversals in (0, 1, 2, 3)]
-    programs += [map_program(params), map_program(params, "backward")]
+    programs += [map_program(params), map_program(params).inverse()]
     epsilon = 0.3
     for seed, program in enumerate(programs):
         state = random_state(n_q, rng)

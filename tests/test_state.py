@@ -1,7 +1,7 @@
 """Gate kernels against explicit dense matrices, partial trace, fidelity.
 
 Each gate kernel is exercised as a one-gate GateProgram through
-apply_program, the engine's ideal path.
+apply_program, which runs the engine's noisy kernels at zero draws.
 """
 
 import math
