@@ -18,7 +18,6 @@ from .measures import (
     bell_density,
     binary_entropy,
     concurrence,
-    diagonal_ergodic_eof_check,
     eof,
     ergodic_entropy_reference,
     von_neumann_entropy,

@@ -39,12 +39,26 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 
-#: entries every replayable manifest must hold (plus t_r or t_r_grid)
-_MANIFEST_KEYS = ("n_q", "epsilon", "K", "realizations", "master_seed", "csv")
-
-
 class UsageError(Exception):
     pass
+
+
+def _int_tuple(value):
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(int(t) for t in value)
+
+
+#: the EchoConfig fields a manifest records, each with its JSON reader
+_MANIFEST_FIELDS = {
+    "n_q": int,
+    "epsilon": float,
+    "K": float,
+    "t_r": int,
+    "t_r_grid": _int_tuple,
+    "realizations": int,
+    "master_seed": int,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,41 +189,28 @@ def _base_manifest(command: str, config: EchoConfig, csv_path: Path) -> dict:
         "command": command,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "n_q": config.n_q,
-        "K": config.K,
-        "epsilon": config.epsilon,
-        "realizations": config.realizations,
-        "master_seed": config.master_seed,
         "N": params.N,
         "T": params.T,
         "k": params.k,
         "n_g_per_iteration": gates_per_iteration(config.n_q),
         "csv": csv_path.name,
     }
-    if command == "trace":
-        manifest["t_r"] = config.t_r
-    else:
-        manifest["t_r_grid"] = list(config.t_r_grid)
+    for key in _MANIFEST_FIELDS:
+        if getattr(config, key) is not None:
+            manifest[key] = getattr(config, key)
     return manifest
 
 
-def _require_keys(manifest: dict, path: Path, keys) -> None:
-    for key in keys:
-        if key not in manifest:
-            raise UsageError(f"{path}: manifest has no {key!r} entry")
-
-
-def _config_from_manifest(manifest: dict, threads) -> EchoConfig:
-    return EchoConfig(
-        n_q=int(manifest["n_q"]),
-        epsilon=float(manifest["epsilon"]),
-        K=float(manifest["K"]),
-        t_r=int(manifest["t_r"]) if "t_r" in manifest else None,
-        t_r_grid=tuple(manifest["t_r_grid"]) if "t_r_grid" in manifest else None,
-        realizations=int(manifest["realizations"]),
-        master_seed=int(manifest["master_seed"]),
-        workers=threads,
-    )
+def _manifest_entry(manifest: dict, path: Path, key: str, read=None):
+    """manifest[key] through read (by default the key's EchoConfig reader);
+    a missing, null or unreadable entry is a UsageError that names it."""
+    value = manifest.get(key)
+    if value is None:
+        raise UsageError(f"{path}: manifest entry {key!r} is missing or null")
+    try:
+        return (read or _MANIFEST_FIELDS[key])(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: cannot read manifest entry {key!r} = {value!r}: {exc}")
 
 
 def cmd_run(args) -> int:
@@ -222,10 +223,16 @@ def cmd_run(args) -> int:
                 f"manifest records command {manifest.get('command')!r}, "
                 f"expected {args.command!r}"
             )
-        grid_key = "t_r" if trace else "t_r_grid"
-        _require_keys(manifest, args.from_manifest, _MANIFEST_KEYS + (grid_key,))
-        config = _config_from_manifest(manifest, args.threads)
-        out = args.out or args.from_manifest.parent / manifest["csv"]
+        other_grid_key = "t_r_grid" if trace else "t_r"
+        fields = {
+            key: _manifest_entry(manifest, args.from_manifest, key)
+            for key in _MANIFEST_FIELDS
+            if key != other_grid_key
+        }
+        config = EchoConfig(**fields, workers=args.threads)
+        out = args.out or args.from_manifest.parent / _manifest_entry(
+            manifest, args.from_manifest, "csv", Path
+        )
     else:
         required = ["nq", "tr", "epsilon", "out"] if trace else ["nq", "epsilon", "out"]
         _require(args, required)
@@ -255,12 +262,11 @@ def _load_curves(paths):
     for csv_path in paths:
         manifest_path = manifest_path_for(csv_path)
         manifest = load_manifest(manifest_path)
-        _require_keys(manifest, manifest_path, ("n_q", "epsilon"))
         if manifest.get("command") != "echo-curve":
             raise UsageError(f"{csv_path}: manifest is not an echo-curve record")
-        curves.append(
-            (int(manifest["n_q"]), float(manifest["epsilon"]), read_records_csv(csv_path))
-        )
+        n_q = _manifest_entry(manifest, manifest_path, "n_q")
+        epsilon = _manifest_entry(manifest, manifest_path, "epsilon")
+        curves.append((n_q, epsilon, read_records_csv(csv_path)))
     return curves
 
 

@@ -139,26 +139,25 @@ def _echo_steps(forward, backward, rng, epsilon: float, t_r: int):
 
 
 def _echo_block(task) -> np.ndarray:
-    """Observables for a block of realizations at one reversal time.
+    """Observables of realizations first .. first+count-1 at one reversal time.
 
-    Returns (count, 2*t_r+1, 3) when tracing every iteration, else
-    (count, 3) with only the echo-time values.  Observable columns are
-    (eof, entropy, fidelity).
+    task is (config, t_r, first, count, record_trace).  Returns
+    (count, steps, 3): steps = 2*t_r + 1 when tracing every iteration, else
+    1, the echo time.  Observable columns are (eof, entropy, fidelity).
     """
-    n_q, K, epsilon, t_r, master_seed, first, count, record_trace = task
-    start = initial_state(n_q).amps
+    config, t_r, first, count, record_trace = task
+    first_step = 0 if record_trace else 2 * t_r
+    start = initial_state(config.n_q).amps
     amps = np.empty_like(start)
-    forward, backward = _bind_echo(n_q, K, amps)
-    bell_index = 3 << (n_q - 2)
-    out = np.empty((count, 2 * t_r + 1, 3) if record_trace else (count, 3))
+    forward, backward = _bind_echo(config.n_q, config.K, amps)
+    bell_index = 3 << (config.n_q - 2)
+    out = np.empty((count, 2 * t_r + 1 - first_step, 3))
     for b in range(count):
         amps[:] = start
-        rng = realization_rng(master_seed, t_r, first + b)
-        for t in _echo_steps(forward, backward, rng, epsilon, t_r):
-            if record_trace:
-                _record_measures(amps, bell_index, out[b, t])
-        if not record_trace:
-            _record_measures(amps, bell_index, out[b])
+        rng = realization_rng(config.master_seed, t_r, first + b)
+        for t in _echo_steps(forward, backward, rng, config.epsilon, t_r):
+            if t >= first_step:
+                _record_measures(amps, bell_index, out[b, t - first_step])
     return out
 
 
@@ -175,7 +174,7 @@ def _scatter(tasks, workers):
         return results
 
     def cost(i):  # realizations times the 2*t_r + 1 steps of each
-        _, _, _, t_r, _, _, count, _ = tasks[i]
+        _, t_r, _, count, _ = tasks[i]
         return count * (2 * t_r + 1)
 
     order = sorted(range(len(tasks)), key=cost, reverse=True)
@@ -186,8 +185,10 @@ def _scatter(tasks, workers):
     return results
 
 
-def _chunk_ranges(total: int, workers: int):
-    chunks = min(total, max(4 * workers, 1))
+def _chunk_ranges(total: int, workers: int, points: int):
+    """(first, count) chunks of one point's total realizations: about four
+    tasks per worker over all points, at least one per point."""
+    chunks = min(total, -(-4 * workers // points))
     base, extra = divmod(total, chunks)
     ranges = []
     start = 0
@@ -212,17 +213,22 @@ def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
     )
 
 
-def _task(config: EchoConfig, t_r: int, first: int, count: int, record_trace: bool):
-    return (
-        config.n_q,
-        config.K,
-        config.epsilon,
-        t_r,
-        config.master_seed,
-        first,
-        count,
-        record_trace,
-    )
+def _run(config: EchoConfig, t_rs, record_trace: bool) -> list:
+    """Records of every reversal time in t_rs, in order: one per recorded step."""
+    workers = config.resolved_workers()
+    ranges = _chunk_ranges(config.realizations, workers, len(t_rs))
+    tasks = [
+        (config, t_r, first, count, record_trace)
+        for t_r in t_rs
+        for first, count in ranges
+    ]
+    results = _scatter(tasks, workers)
+    records = []
+    for i, t_r in enumerate(t_rs):
+        block = np.concatenate(results[i * len(ranges) : (i + 1) * len(ranges)], axis=0)
+        first_step = 0 if record_trace else 2 * t_r
+        records += [_aggregate(first_step + j, block[:, j]) for j in range(block.shape[1])]
+    return records
 
 
 def run_trace(config: EchoConfig) -> list:
@@ -230,13 +236,7 @@ def run_trace(config: EchoConfig) -> list:
     t = 0 .. 2*t_r, averaged over realizations."""
     if config.t_r is None:
         raise ValueError("trace mode needs t_r")
-    workers = config.resolved_workers()
-    tasks = [
-        _task(config, config.t_r, first, count, True)
-        for first, count in _chunk_ranges(config.realizations, workers)
-    ]
-    blocks = np.concatenate(_scatter(tasks, workers), axis=0)
-    return [_aggregate(t, blocks[:, t, :]) for t in range(2 * config.t_r + 1)]
+    return _run(config, (config.t_r,), record_trace=True)
 
 
 def run_echo_curve(config: EchoConfig) -> list:
@@ -246,8 +246,4 @@ def run_echo_curve(config: EchoConfig) -> list:
     """
     if config.t_r_grid is None:
         raise ValueError("echo-curve mode needs t_r_grid")
-    tasks = [_task(config, t_r, 0, config.realizations, False) for t_r in config.t_r_grid]
-    blocks = _scatter(tasks, config.resolved_workers())
-    return [
-        _aggregate(2 * t_r, block) for t_r, block in zip(config.t_r_grid, blocks)
-    ]
+    return _run(config, config.t_r_grid, record_trace=False)

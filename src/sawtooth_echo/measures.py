@@ -97,25 +97,6 @@ def ergodic_entropy_reference(N: int) -> float:
     return 2.0 - 8.0 / (N * math.log(2.0))
 
 
-def diagonal_ergodic_eof_check(rho, offdiag_bound: float) -> bool:
-    """True unless rho is near-diagonal-ergodic yet still shows concurrence.
-
-    A register equilibrated by chaotic dynamics leaves qubits 1 and 2 in a
-    nearly diagonal state with entries close to 1/4, which carries no
-    pairwise entanglement; this encodes that as a checkable property.
-    """
-    rho = _as_density(rho)
-    diag = np.diag(rho)
-    off = rho - np.diag(diag)
-    near_ergodic = (
-        np.abs(off).max() <= offdiag_bound
-        and np.abs(diag - 0.25).max() <= offdiag_bound
-    )
-    if not near_ergodic:
-        return True
-    return concurrence(rho) == 0.0
-
-
 def bell_density() -> np.ndarray:
     """|Phi+><Phi+| with |Phi+> = (|00> + |11>)/sqrt(2)."""
     v = np.zeros(4, dtype=np.complex128)

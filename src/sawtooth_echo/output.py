@@ -77,7 +77,10 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def load_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    return manifest
 
 
 def manifest_path_for(csv_path) -> Path:

@@ -163,10 +163,8 @@ def _quadratic_gates(n_q, s, shift):
     return tuple(gates)
 
 
-def quadratic_phase_program(
-    n_q: int, coefficient: float, sign: int = 1, shift: float = 0.0
-) -> GateProgram:
-    """Diagonal unitary exp(i*sign*coefficient*(j - shift)^2) on basis index j.
+def quadratic_phase_program(n_q: int, coefficient: float, shift: float = 0.0) -> GateProgram:
+    """Diagonal unitary exp(i*coefficient*(j - shift)^2) on basis index j.
 
     Expanding j = sum_i b_i 2^(n_q-i) turns the quadratic into per-qubit
     linear terms and per-pair cross terms; the constant shift^2 term is
@@ -175,13 +173,13 @@ def quadratic_phase_program(
     """
     if n_q < 1:
         raise ValueError(f"need n_q >= 1, got {n_q}")
-    return GateProgram(n_q, _quadratic_gates(n_q, float(sign) * coefficient, shift))
+    return GateProgram(n_q, _quadratic_gates(n_q, coefficient, shift))
 
 
 def free_rotation_program(n_q: int) -> GateProgram:
     """Free-rotation diagonal exp(-i*(pi/N)*(j + 1/2)^2) over the
     half-integer momentum grid (the generic quadratic with shift -1/2)."""
-    return quadratic_phase_program(n_q, math.pi / (1 << n_q), sign=-1, shift=-0.5)
+    return quadratic_phase_program(n_q, -math.pi / (1 << n_q), shift=-0.5)
 
 
 def qft_program(n_q: int) -> GateProgram:
@@ -211,7 +209,7 @@ def map_program(params: MapParams, kick_sign: int = 1) -> GateProgram:
     control for the verification suite; physical programs use kick_sign=1.
     """
     kick = quadratic_phase_program(
-        params.n_q, params.kick_coefficient, sign=kick_sign, shift=params.kick_shift
+        params.n_q, kick_sign * params.kick_coefficient, shift=params.kick_shift
     )
     fourier = qft_program(params.n_q)
     return fourier + free_rotation_program(params.n_q) + fourier.inverse() + kick

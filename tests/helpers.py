@@ -1,13 +1,33 @@
-"""Shared test utilities: random states and dense gate constructions."""
+"""Shared test utilities: random states, dense gate constructions and the
+ergodic-register concurrence check."""
 
 import numpy as np
 
-from sawtooth_echo import StateVector
+from sawtooth_echo import StateVector, concurrence
 
 
 def random_state(n_q: int, rng: np.random.Generator) -> StateVector:
     amps = rng.standard_normal(1 << n_q) + 1j * rng.standard_normal(1 << n_q)
     return StateVector(n_q, amps / np.linalg.norm(amps))
+
+
+def diagonal_ergodic_eof_check(rho, offdiag_bound: float) -> bool:
+    """True unless rho is near-diagonal-ergodic yet still shows concurrence.
+
+    A register equilibrated by chaotic dynamics leaves qubits 1 and 2 in a
+    nearly diagonal state with entries close to 1/4, which carries no
+    pairwise entanglement; this encodes that as a checkable property.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    diag = np.diag(rho)
+    off = rho - np.diag(diag)
+    near_ergodic = (
+        np.abs(off).max() <= offdiag_bound
+        and np.abs(diag - 0.25).max() <= offdiag_bound
+    )
+    if not near_ergodic:
+        return True
+    return concurrence(rho) == 0.0
 
 
 def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:

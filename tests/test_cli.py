@@ -189,17 +189,35 @@ def test_scaling_validates_every_point_before_simulating(tmp_path, capsys, monke
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["n_q", "epsilon", "K", "realizations", "master_seed", "csv", "t_r"])
+@pytest.mark.parametrize(
+    "key", ["n_q", "epsilon", "K", "realizations", "master_seed", "csv", "t_r", "t_r_grid"]
+)
 def test_manifest_missing_key_exits_one(tmp_path, capsys, key):
+    # a missing, null or wrong-typed entry exits 1 and is named
     out = tmp_path / "run.csv"
-    assert run_cli(*trace_args(out)) == 0
+    if key == "t_r_grid":
+        command = "echo-curve"
+        recorded = run_cli(
+            "echo-curve", "--nq", 3, "--epsilon", 0.02, "--tr-grid", "1,2",
+            "--realizations", 2, "--threads", 1, "--out", out,
+        )
+    else:
+        command = "trace"
+        recorded = run_cli(*trace_args(out))
+    assert recorded == 0
     capsys.readouterr()
     manifest = load_manifest(manifest_path_for(out))
-    del manifest[key]
+    wrong_type = 5 if key in ("t_r_grid", "csv") else [5]
+    missing = {k: v for k, v in manifest.items() if k != key}
     broken = tmp_path / "broken.manifest.json"
-    write_manifest(broken, manifest)
-    assert run_cli("trace", "--from-manifest", broken) == 1
-    assert repr(key) in capsys.readouterr().err
+    for bad in (missing, {**manifest, key: None}, {**manifest, key: wrong_type}):
+        write_manifest(broken, bad)
+        assert run_cli(command, "--from-manifest", broken) == 1
+        assert repr(key) in capsys.readouterr().err
+    # a manifest must be a JSON object
+    write_manifest(broken, [manifest])
+    assert run_cli(command, "--from-manifest", broken) == 1
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 def test_manifest_command_mismatch_exits_one(tmp_path, capsys):
@@ -303,6 +321,18 @@ def test_scaling_from_csv_recovers_synthesis(tmp_path):
     assert constants["A_hat"] == pytest.approx(25.0 * 36 * 4e-4, rel=1e-6)
     assert constants["B_hat"] == pytest.approx(0.05 / (4e-4 * 36), rel=1e-6)
     assert "A_discrepancy_factor" in constants
+
+
+def test_scaling_from_csv_names_bad_manifest_entry(tmp_path, capsys):
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    manifest = load_manifest(manifest_path_for(csv_path))
+    write_manifest(manifest_path_for(csv_path), {**manifest, "n_q": None})
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
+    assert "'n_q'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scaling_simulation_writes_curves_and_summary(tmp_path):

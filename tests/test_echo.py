@@ -17,6 +17,7 @@ from sawtooth_echo import (
     run_trace,
     von_neumann_entropy,
 )
+from sawtooth_echo import echo
 from sawtooth_echo.echo import _record_measures
 
 
@@ -127,8 +128,8 @@ def test_realization_halves_agree():
         # per-index observables; easiest is to re-run both halves fully
         from sawtooth_echo.echo import _echo_block
 
-        block = _echo_block((5, 5.0, 0.02, 6, 13, first, half, False))
-        return block
+        block = _echo_block((EchoConfig(**config), 6, first, half, False))
+        return block[:, 0]
 
     a = run_slice(0)
     b = run_slice(half)
@@ -140,6 +141,42 @@ def test_realization_halves_agree():
     assert final_full.e_mean == pytest.approx(
         (a[:, 0].mean() + b[:, 0].mean()) / 2, abs=1e-12
     )
+
+
+def test_tasks_split_each_reversal_time(monkeypatch):
+    # about four (reversal time, realization chunk) tasks per worker over the
+    # whole run, at least one per reversal time, never more than R per point
+    seen = []
+    scatter = echo._scatter
+    monkeypatch.setattr(
+        echo, "_scatter", lambda tasks, workers: seen.append(tasks) or scatter(tasks, 1)
+    )
+    base = dict(n_q=3, epsilon=0.02, realizations=10, master_seed=4, workers=2)
+    run_trace(EchoConfig(**base, t_r=3))
+    run_echo_curve(EchoConfig(**base, t_r_grid=tuple(range(1, 9))))
+    run_echo_curve(EchoConfig(**base, t_r_grid=tuple(range(1, 21))))
+    run_echo_curve(EchoConfig(**base, t_r_grid=(4,)))
+    run_echo_curve(EchoConfig(**{**base, "realizations": 5}, t_r_grid=(4,)))
+    assert [len(tasks) for tasks in seen] == [8, 8, 20, 8, 5]
+    assert [{task[4] for task in tasks} for tasks in seen] == [{True}] + [{False}] * 4
+    for tasks in seen:
+        # each reversal time's chunks cover its realizations in order
+        for t_r in {task[1] for task in tasks}:
+            covered = [
+                r for _, t, first, count, _ in tasks if t == t_r
+                for r in range(first, first + count)
+            ]
+            assert covered == list(range(tasks[0][0].realizations))
+
+
+def test_curve_records_independent_of_chunking():
+    # 14 realizations: at 2 and 3 workers the chunk count does not divide R
+    config = dict(n_q=3, epsilon=0.03, realizations=14, master_seed=11)
+    one = [run_echo_curve(EchoConfig(**config, t_r_grid=(5,), workers=w)) for w in (1, 2, 3)]
+    two = [run_echo_curve(EchoConfig(**config, t_r_grid=(2, 5), workers=w)) for w in (1, 2, 3)]
+    assert one[0] == one[1] == one[2]
+    assert two[0] == two[1] == two[2]
+    assert one[0][0] == two[0][1]
 
 
 def test_t_r_zero_trace():

@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state, random_unitary_2x2
+from helpers import diagonal_ergodic_eof_check, random_state, random_unitary_2x2
 from sawtooth_echo import (
     MapParams,
     StateVector,
     bell_density,
     binary_entropy,
     concurrence,
-    diagonal_ergodic_eof_check,
     eof,
     ergodic_entropy_reference,
+    initial_state,
     map_program,
     partial_trace_12,
+    realization_rng,
     von_neumann_entropy,
     werner_state,
 )
@@ -191,14 +192,14 @@ def test_ergodic_register_has_zero_concurrence():
     # two-qubit state carries no pairwise entanglement
     n_q = 8
     program = map_program(MapParams(n_q, 5.0))
-    amps = np.empty(1 << n_q, dtype=np.complex128)
+    start = initial_state(n_q).amps
+    amps = np.empty_like(start)
     bound = BoundProgram(program, amps)
     zero_count = 0
     realizations = 400
     for r in range(realizations):
-        rng = np.random.default_rng(np.random.SeedSequence([77, 10, r]))
-        amps[:] = 0.0
-        amps[0] = amps[3 << (n_q - 2)] = math.sqrt(0.5)
+        rng = realization_rng(77, 10, r)
+        amps[:] = start
         for _ in range(10):
             bound.apply_noisy(rng, 0.01)
         rho = partial_trace_12(StateVector(n_q, amps))

@@ -34,7 +34,7 @@ def diag_of(program):
 
 def test_quadratic_phase_free_rotation_diagonal():
     # direct construction: diag(exp(-i*(pi/4)*j^2)) for n_q = 2
-    program = quadratic_phase_program(2, math.pi / 4, sign=-1)
+    program = quadratic_phase_program(2, -math.pi / 4)
     expected = np.exp(-1j * (math.pi / 4) * np.arange(4) ** 2)
     got = diag_of(program)
     aligned = align_global_phase(got, expected)
@@ -45,7 +45,7 @@ def test_quadratic_phase_free_rotation_diagonal():
 @pytest.mark.parametrize("shift", [0.0, -0.5, 3.5, 8.0])
 def test_quadratic_phase_generic_shift(n_q, shift):
     coefficient = 0.377
-    program = quadratic_phase_program(n_q, coefficient, sign=1, shift=shift)
+    program = quadratic_phase_program(n_q, coefficient, shift=shift)
     j = np.arange(1 << n_q, dtype=float)
     expected = np.exp(1j * coefficient * (j - shift) ** 2)
     aligned = align_global_phase(diag_of(program), expected)
@@ -53,14 +53,14 @@ def test_quadratic_phase_generic_shift(n_q, shift):
 
 
 def test_quadratic_phase_zero_coefficient_is_identity():
-    program = quadratic_phase_program(3, 0.0, sign=1, shift=4.0)
+    program = quadratic_phase_program(3, 0.0, shift=4.0)
     np.testing.assert_allclose(program_unitary(program), np.eye(8), atol=1e-12)
 
 
 def test_quadratic_phase_kick_matches_oracle_factor():
     # kick diagonal of dense_map_unitary at n_q = 3, K = 5
     params = MapParams(3, 5.0)
-    program = quadratic_phase_program(3, params.kick_coefficient, 1, params.kick_shift)
+    program = quadratic_phase_program(3, params.kick_coefficient, params.kick_shift)
     j = np.arange(8, dtype=float)
     expected = np.exp(1j * params.kick_coefficient * (j - params.kick_shift) ** 2)
     aligned = align_global_phase(diag_of(program), expected)
