@@ -43,21 +43,33 @@ class UsageError(Exception):
     pass
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _int_tuple(value):
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(int(t) for t in value)
+    return tuple(_json_int(t) for t in value)
 
 
 #: the EchoConfig fields a manifest records, each with its JSON reader
 _MANIFEST_FIELDS = {
-    "n_q": int,
-    "epsilon": float,
-    "K": float,
-    "t_r": int,
+    "n_q": _json_int,
+    "epsilon": _json_float,
+    "K": _json_float,
+    "t_r": _json_int,
     "t_r_grid": _int_tuple,
-    "realizations": int,
-    "master_seed": int,
+    "realizations": _json_int,
+    "master_seed": _json_int,
 }
 
 

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BoundProgram
-from .measures import concurrence, eof, von_neumann_entropy
+# concurrence and von_neumann_entropy stay bound here because
+# perfbench/tracer.py wraps echo.concurrence, echo.eof and
+# echo.von_neumann_entropy by name
+from .measures import concurrence, concurrence_and_entropy, eof, von_neumann_entropy  # noqa: F401
 from .program import MapParams, map_program
 from .state import StateVector
 
@@ -80,7 +83,8 @@ class EchoConfig:
 
 @dataclass(frozen=True)
 class EchoRecord:
-    """Mean and spread of the observables at one time point."""
+    """Mean and spread of the observables at one time point; the field
+    order is the CSV column order."""
 
     t: int
     e_mean: float
@@ -111,8 +115,8 @@ def _record_measures(amps: np.ndarray, bell_index: int, out: np.ndarray) -> None
     # support: |<psi0|psi>|^2 = |amps[0] + amps[bell_index]|^2 / 2
     blocks = amps.reshape(4, -1)
     rho = blocks @ blocks.conj().T
-    out[0] = eof(concurrence(rho))
-    out[1] = von_neumann_entropy(rho)
+    c, out[1] = concurrence_and_entropy(rho)
+    out[0] = eof(c)
     overlap = amps[0] + amps[bell_index]
     out[2] = 0.5 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
 
@@ -200,17 +204,9 @@ def _chunk_ranges(total: int, workers: int, points: int):
 
 
 def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
-    means = block.mean(axis=0)
-    stds = block.std(axis=0)
-    return EchoRecord(
-        t=t,
-        e_mean=float(means[0]),
-        e_std=float(stds[0]),
-        s_mean=float(means[1]),
-        s_std=float(stds[1]),
-        f_mean=float(means[2]),
-        f_std=float(stds[2]),
-    )
+    # (mean, std) of each observable column, in EchoRecord field order
+    pairs = np.column_stack((block.mean(axis=0), block.std(axis=0)))
+    return EchoRecord(t, *(float(v) for v in pairs.ravel()))
 
 
 def _run(config: EchoConfig, t_rs, record_trace: bool) -> list:

@@ -70,47 +70,49 @@ def threshold_time(curve, c: float = 0.9) -> FitResult:
     )
 
 
+def _log_linear(points, floor: float, requirement: str):
+    """Regress ln y on t over the (t, y) points with y above floor; returns
+    (slope, intercept, residual, points used)."""
+    usable = [(float(t), float(y)) for t, y in points if float(y) > floor]
+    if len(usable) < 3:
+        raise ValueError(f"{requirement}, got {len(usable)}")
+    slope, intercept, resid = _ols(
+        [t for t, _ in usable], [math.log(y) for _, y in usable]
+    )
+    return slope, intercept, resid, len(usable)
+
+
 def entropy_rate(curve, s_inf: float) -> FitResult:
     """Rate of the exponential approach S(t_e) = s_inf*(1 - exp(-Gamma*t_e)).
 
     Gamma comes from regressing ln(s_inf - S_mean) on t_e over points more
     than 0.01 below saturation (points at or above s_inf drop out with them).
     """
-    usable = [
-        (float(t), float(s)) for t, s in curve if s_inf - float(s) > ENTROPY_FIT_WINDOW
-    ]
-    if len(usable) < 3:
-        raise ValueError(
-            f"entropy fit needs >= 3 points below s_inf - {ENTROPY_FIT_WINDOW}, "
-            f"got {len(usable)}"
-        )
-    t = [p[0] for p in usable]
-    log_gap = [math.log(s_inf - p[1]) for p in usable]
-    slope, intercept, resid = _ols(t, log_gap)
+    slope, intercept, resid, n_points = _log_linear(
+        ((t, s_inf - float(s)) for t, s in curve),
+        ENTROPY_FIT_WINDOW,
+        f"entropy fit needs >= 3 points below s_inf - {ENTROPY_FIT_WINDOW}",
+    )
     return FitResult(
         kind="exponential_rate",
         params={"gamma": -slope, "s_inf": s_inf, "log_intercept": intercept},
         residual=resid,
-        n_points=len(usable),
+        n_points=n_points,
     )
 
 
 def fidelity_rate(curve) -> FitResult:
     """Decay rate of ln f_mean vs t_e above the saturation floor near 1/N."""
-    usable = [(float(t), float(f)) for t, f in curve if float(f) > FIDELITY_FIT_FLOOR]
-    if len(usable) < 3:
-        raise ValueError(
-            f"fidelity fit needs >= 3 points above {FIDELITY_FIT_FLOOR}, "
-            f"got {len(usable)}"
-        )
-    t = [p[0] for p in usable]
-    log_f = [math.log(p[1]) for p in usable]
-    slope, intercept, resid = _ols(t, log_f)
+    slope, intercept, resid, n_points = _log_linear(
+        curve,
+        FIDELITY_FIT_FLOOR,
+        f"fidelity fit needs >= 3 points above {FIDELITY_FIT_FLOOR}",
+    )
     return FitResult(
         kind="exponential_rate",
         params={"rate": -slope, "log_intercept": intercept},
         residual=resid,
-        n_points=len(usable),
+        n_points=n_points,
     )
 
 

@@ -10,7 +10,9 @@ A = sqrt(rho) @ Y @ conj(sqrt(rho)), since A @ A^dag = sqrt(rho) rho_tilde
 sqrt(rho) shares the spectrum of rho @ rho_tilde.  A general eigensolver on
 the non-Hermitian product loses half the working precision in the square
 root of its near-zero eigenvalues (1e-8 errors on C for near-pure states);
-the SVD keeps the noiseless-echo identity sharp at the 1e-12 level.
+the SVD keeps the noiseless-echo identity sharp at the 1e-12 level.  The
+entropy reuses the eigenvalues of the same decomposition, so each matrix is
+validated and diagonalised once for both measures.
 """
 
 import math
@@ -45,8 +47,9 @@ def _as_density(rho) -> np.ndarray:
     return rho
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+def concurrence_and_entropy(rho) -> tuple:
+    """Wootters concurrence and von Neumann entropy S = -Tr(rho log2 rho)
+    in bits of a two-qubit density matrix, both from one eigendecomposition."""
     rho = _as_density(rho)
     evals, vecs = np.linalg.eigh(rho)
     if evals[0] < -EIGENVALUE_CLAMP:
@@ -55,7 +58,24 @@ def concurrence(rho) -> float:
         )
     root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     lams = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
-    return float(max(2.0 * lams[0] - lams.sum(), 0.0))
+    # round-off can push eigenvalues marginally outside [0, 1]; both ends
+    # contribute 0 weight after clipping
+    evals = np.clip(evals, 0.0, 1.0)
+    positive = evals[evals > 0.0]
+    return (
+        float(max(2.0 * lams[0] - lams.sum(), 0.0)),
+        float(-(positive * np.log2(positive)).sum()),
+    )
+
+
+def concurrence(rho) -> float:
+    """Wootters concurrence of a two-qubit density matrix."""
+    return concurrence_and_entropy(rho)[0]
+
+
+def von_neumann_entropy(rho) -> float:
+    """S = -Tr(rho log2 rho) in bits for a Hermitian 4x4 density matrix."""
+    return concurrence_and_entropy(rho)[1]
 
 
 def binary_entropy(x: float) -> float:
@@ -72,21 +92,6 @@ def eof(concurrence_value: float) -> float:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
     c = min(max(c, 0.0), 1.0)
     return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
-
-
-def von_neumann_entropy(rho) -> float:
-    """S = -Tr(rho log2 rho) in bits for a Hermitian 4x4 density matrix."""
-    rho = _as_density(rho)
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -EIGENVALUE_CLAMP:
-        raise ValueError(
-            f"density matrix eigenvalue {evals[0]:.3e} below -{EIGENVALUE_CLAMP:.0e}"
-        )
-    # round-off can push eigenvalues marginally outside [0, 1]; both ends
-    # contribute 0 weight after clipping
-    evals = np.clip(evals, 0.0, 1.0)
-    positive = evals[evals > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
 
 
 def ergodic_entropy_reference(N: int) -> float:

@@ -7,12 +7,15 @@ Files are UTF-8 with LF line endings.
 """
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 from .echo import EchoRecord
 
-TRACE_HEADER = ["t", "E_mean", "E_std", "S_mean", "S_std", "f_mean", "f_std"]
-CURVE_HEADER = ["t_e", "E_mean", "E_std", "S_mean", "S_std", "f_mean", "f_std"]
+# one column per EchoRecord field, in field order
+_OBSERVABLE_COLUMNS = ["E_mean", "E_std", "S_mean", "S_std", "f_mean", "f_std"]
+TRACE_HEADER = ["t", *_OBSERVABLE_COLUMNS]
+CURVE_HEADER = ["t_e", *_OBSERVABLE_COLUMNS]
 
 
 def fmt(value: float) -> str:
@@ -20,18 +23,7 @@ def fmt(value: float) -> str:
 
 
 def records_to_rows(records) -> list:
-    return [
-        (
-            str(r.t),
-            fmt(r.e_mean),
-            fmt(r.e_std),
-            fmt(r.s_mean),
-            fmt(r.s_std),
-            fmt(r.f_mean),
-            fmt(r.f_std),
-        )
-        for r in records
-    ]
+    return [(str(r.t), *(fmt(v) for v in astuple(r)[1:])) for r in records]
 
 
 def write_csv(path, header, rows) -> None:
@@ -52,19 +44,9 @@ def read_records_csv(path) -> list:
     records = []
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != 7:
+        if len(cells) != len(header):
             raise ValueError(f"{path}: malformed row {line!r}")
-        records.append(
-            EchoRecord(
-                t=int(cells[0]),
-                e_mean=float(cells[1]),
-                e_std=float(cells[2]),
-                s_mean=float(cells[3]),
-                s_std=float(cells[4]),
-                f_mean=float(cells[5]),
-                f_std=float(cells[6]),
-            )
-        )
+        records.append(EchoRecord(int(cells[0]), *(float(c) for c in cells[1:])))
     return records
 
 

@@ -111,9 +111,6 @@ class BitReversal:
         return self
 
 
-Gate = Hadamard | ControlledPhase | PhaseShift | BitReversal
-
-
 @dataclass(frozen=True)
 class GateProgram:
     """Ordered gate sequence; immutable and shareable across threads."""
@@ -201,15 +198,11 @@ def qft_program(n_q: int) -> GateProgram:
     return GateProgram(n_q, tuple(gates))
 
 
-def map_program(params: MapParams, kick_sign: int = 1) -> GateProgram:
+def map_program(params: MapParams) -> GateProgram:
     """One forward map iteration as a gate program; .inverse() is the exact
-    gate-by-gate backward iteration.
-
-    kick_sign flips the kick phase sign and exists only as a negative
-    control for the verification suite; physical programs use kick_sign=1.
-    """
+    gate-by-gate backward iteration."""
     kick = quadratic_phase_program(
-        params.n_q, kick_sign * params.kick_coefficient, shift=params.kick_shift
+        params.n_q, params.kick_coefficient, shift=params.kick_shift
     )
     fourier = qft_program(params.n_q)
     return fourier + free_rotation_program(params.n_q) + fourier.inverse() + kick

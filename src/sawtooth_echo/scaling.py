@@ -163,36 +163,25 @@ def _discrepancy(estimate: float | None, reference: float) -> float | None:
     return max(ratio, 1.0 / ratio)
 
 
+#: (summary key, grouped by, abscissa, ordinate) of each power-law fit
+_POWER_LAWS = (
+    ("t_e_star_vs_epsilon", "n_q", "epsilon", "t_e_star"),
+    ("gamma_vs_epsilon", "n_q", "epsilon", "gamma"),
+    ("t_e_star_vs_n_q", "epsilon", "n_q", "t_e_star"),
+)
+
+
 def summarize_points(points, c: float) -> dict:
     """Power-law fits and pooled constants over a set of grid points."""
-    fits: dict = {
-        "t_e_star_vs_epsilon": {},
-        "gamma_vs_epsilon": {},
-        "t_e_star_vs_n_q": {},
-    }
-    for n_q in sorted({p.n_q for p in points}):
-        t_pts = [
-            (p.epsilon, p.t_e_star)
-            for p in points
-            if p.n_q == n_q and p.t_e_star is not None and p.epsilon > 0.0
-        ]
-        if len(t_pts) >= 3:
-            fits["t_e_star_vs_epsilon"][str(n_q)] = _fit_to_dict(power_law_fit(t_pts))
-        g_pts = [
-            (p.epsilon, p.gamma)
-            for p in points
-            if p.n_q == n_q and p.gamma is not None and p.epsilon > 0.0
-        ]
-        if len(g_pts) >= 3:
-            fits["gamma_vs_epsilon"][str(n_q)] = _fit_to_dict(power_law_fit(g_pts))
-    for eps in sorted({p.epsilon for p in points}):
-        n_pts = [
-            (p.n_q, p.t_e_star)
-            for p in points
-            if p.epsilon == eps and p.t_e_star is not None
-        ]
-        if len(n_pts) >= 3:
-            fits["t_e_star_vs_n_q"][str(eps)] = _fit_to_dict(power_law_fit(n_pts))
+    fits: dict = {}
+    for key, group, x, y in _POWER_LAWS:
+        fits[key] = {}
+        for value in sorted({getattr(p, group) for p in points}):
+            pairs = [(getattr(p, x), getattr(p, y)) for p in points if getattr(p, group) == value]
+            # power_law_fit's domain: both coordinates strictly positive
+            data = [(u, v) for u, v in pairs if v is not None and u > 0.0 and v > 0.0]
+            if len(data) >= 3:
+                fits[key][str(value)] = _fit_to_dict(power_law_fit(data))
     a_hat = _geometric_mean(
         p.t_e_star * p.n_q**2 * p.epsilon**2
         for p in points

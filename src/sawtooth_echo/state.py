@@ -31,10 +31,6 @@ class StateVector:
         self.n_q = n_q
         self.amps = amps
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_q
-
     @classmethod
     def computational_basis(cls, n_q: int, index: int = 0) -> "StateVector":
         if not 0 <= index < (1 << n_q):

@@ -31,11 +31,11 @@ class CheckResult:
     detail: str
 
 
-def check_map_program_matches_oracle(kick_sign: int = 1) -> CheckResult:
-    """Ideal one-iteration program vs the dense matrix, n_q = 2..5, K = 5."""
+def check_map_program_matches_oracle(K: float = 5.0) -> CheckResult:
+    """Ideal one-iteration program at K vs the dense K = 5 matrix, n_q = 2..5."""
     worst = 0.0
     for n_q in (2, 3, 4, 5):
-        program = map_program(MapParams(n_q, 5.0), kick_sign=kick_sign)
+        program = map_program(MapParams(n_q, K))
         aligned = align_global_phase(program_unitary(program), dense_map_unitary(n_q, 5.0))
         worst = max(worst, float(np.abs(aligned - dense_map_unitary(n_q, 5.0)).max()))
     return CheckResult(
@@ -129,10 +129,10 @@ def check_noisy_norm_preservation(n_q: int = 6, t_r: int = 20) -> CheckResult:
 
 
 def run_checks(flip_kick_sign: bool = False) -> list:
-    """All verification checks; flip_kick_sign corrupts the kick phase as a
-    negative control (the oracle match must then fail)."""
+    """All verification checks; flip_kick_sign builds the program at K = -5
+    as a negative control (the oracle match must then fail)."""
     return [
-        check_map_program_matches_oracle(kick_sign=-1 if flip_kick_sign else 1),
+        check_map_program_matches_oracle(-5.0 if flip_kick_sign else 5.0),
         check_qft_matches_dft(),
         check_measure_fixtures(),
         check_werner_sweep(),

@@ -208,9 +208,14 @@ def test_manifest_missing_key_exits_one(tmp_path, capsys, key):
     capsys.readouterr()
     manifest = load_manifest(manifest_path_for(out))
     wrong_type = 5 if key in ("t_r_grid", "csv") else [5]
+    bad_values = [None, wrong_type, True]
+    if key not in ("epsilon", "K"):  # integers (and the csv name) reject 2.9
+        bad_values.append([1, 2.5] if key == "t_r_grid" else 2.9)
+    if key != "csv":  # numbers reject strings
+        bad_values.append("1,2" if key == "t_r_grid" else "3")
     missing = {k: v for k, v in manifest.items() if k != key}
     broken = tmp_path / "broken.manifest.json"
-    for bad in (missing, {**manifest, key: None}, {**manifest, key: wrong_type}):
+    for bad in [missing] + [{**manifest, key: value} for value in bad_values]:
         write_manifest(broken, bad)
         assert run_cli(command, "--from-manifest", broken) == 1
         assert repr(key) in capsys.readouterr().err
@@ -287,7 +292,7 @@ def synth_curve_files(tmp_path, n_q, epsilon, t_star, gamma, rate):
         s = s_inf * (1 - math.exp(-gamma * t))
         f = math.exp(-rate * t)
         rows.append((str(t), f"{e:.17g}", "0", f"{s:.17g}", "0", f"{f:.17g}", "0"))
-    csv_path = tmp_path / f"synth_nq{n_q}.csv"
+    csv_path = tmp_path / f"synth_nq{n_q}_eps{epsilon}.csv"
     write_csv(csv_path, CURVE_HEADER, rows)
     write_manifest(
         manifest_path_for(csv_path),
@@ -328,11 +333,35 @@ def test_scaling_from_csv_names_bad_manifest_entry(tmp_path, capsys):
         tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
     )
     manifest = load_manifest(manifest_path_for(csv_path))
-    write_manifest(manifest_path_for(csv_path), {**manifest, "n_q": None})
     out = tmp_path / "summary.json"
-    assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
-    assert "'n_q'" in capsys.readouterr().err
-    assert not out.exists()
+    for key, value in (("n_q", None), ("n_q", 6.5), ("n_q", "6"), ("epsilon", "0.02")):
+        write_manifest(manifest_path_for(csv_path), {**manifest, key: value})
+        assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_scaling_from_csv_skips_non_positive_ordinates(tmp_path):
+    # a curve whose entropy decreases fits a negative Gamma; the power law
+    # over epsilon then uses the other points instead of aborting the summary
+    paths = [
+        synth_curve_files(
+            tmp_path, n_q=6, epsilon=eps, t_star=20.0, gamma=0.05 * (eps / 0.02) ** 2,
+            rate=0.012,
+        )
+        for eps in (0.01, 0.02, 0.04)
+    ]
+    paths.append(
+        synth_curve_files(tmp_path, n_q=6, epsilon=0.03, t_star=20.0, gamma=-0.01, rate=0.012)
+    )
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", *paths, "--out", out) == 0
+    summary = json.loads(out.read_text())
+    assert summary["points"][3]["gamma"] == pytest.approx(-0.01, abs=1e-6)
+    gamma_fit = summary["fits"]["gamma_vs_epsilon"]["6"]
+    assert gamma_fit["n_points"] == 3
+    assert gamma_fit["exponent"] == pytest.approx(2.0, abs=1e-6)
+    assert summary["fits"]["t_e_star_vs_epsilon"]["6"]["n_points"] == 4
 
 
 def test_scaling_simulation_writes_curves_and_summary(tmp_path):

@@ -179,6 +179,28 @@ def test_curve_records_independent_of_chunking():
     assert one[0][0] == two[0][1]
 
 
+def test_one_eigendecomposition_per_snapshot(monkeypatch):
+    # concurrence and entropy share one eigh of rho_12 per snapshot
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("the snapshot path must not call eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    t_r, count = 3, 5
+    records = run_trace(
+        EchoConfig(n_q=4, epsilon=0.02, t_r=t_r, realizations=count, master_seed=2, workers=1)
+    )
+    assert len(records) == 2 * t_r + 1
+    assert len(calls) == count * (2 * t_r + 1)
+
+
 def test_t_r_zero_trace():
     records = run_trace(EchoConfig(n_q=3, epsilon=0.5, t_r=0, realizations=2))
     assert len(records) == 1
