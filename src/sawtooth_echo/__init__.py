@@ -25,7 +25,6 @@ from .measures import (
 )
 from .oracle import align_global_phase, dense_map_unitary, dft_matrix, program_unitary
 from .program import (
-    BitReversal,
     ControlledPhase,
     GateProgram,
     Hadamard,

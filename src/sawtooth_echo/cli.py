@@ -259,6 +259,8 @@ def cmd_run(args) -> int:
             workers=args.threads,
         )
         out = args.out
+    if not out.parent.is_dir():  # fail before the simulation, not after it
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
     if trace:
         records, header = run_trace(config), TRACE_HEADER
     else:

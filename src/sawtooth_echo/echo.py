@@ -182,7 +182,7 @@ def _scatter(tasks, workers):
         return count * (2 * t_r + 1)
 
     order = sorted(range(len(tasks)), key=cost, reverse=True)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = {i: pool.submit(_echo_block, tasks[i]) for i in order}
         for i, future in futures.items():
             results[i] = future.result()

@@ -11,14 +11,12 @@ every application including backward evolution):
 * Controlled phase: the same noisy phase-shift primitive applied to the
   target, conditioned on the control qubit; the control-0 block stays
   untouched.
-* Bit reversals are index bookkeeping and stay noise-free.
 
-A program compiles into alternating ops: each Hadamard, and one fused
-diagonal for each maximal run of phase-type gates and bit reversals between
-Hadamards (a map iteration has 4*n_q ops), and one permutation after a
-run with an odd number of bit reversals.  Each op has one kernel, a
-function of its draws.  Draws are consumed in program order from the
-caller's generator, one uniform vector per application; the echo protocol
+A program compiles into two op kinds: each Hadamard, and one fused
+diagonal for each maximal run of phase-type gates between Hadamards (a map
+iteration has 4*n_q ops).  Each op has one kernel, a function of its
+draws.  Draws are consumed in program order from the caller's
+generator, one uniform vector per application; the echo protocol
 passes each realization's own stream (echo.realization_rng), so a fixed
 (master seed, reversal time, realization) triple reproduces every
 amplitude bit-for-bit.  The ideal program is the same ops with zero draws.
@@ -30,8 +28,8 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .program import BitReversal, ControlledPhase, GateProgram, Hadamard, PhaseShift
-from .state import StateVector, bit_reversal_permutation
+from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
+from .state import StateVector
 
 
 def tilted_hadamard(nu: float) -> np.ndarray:
@@ -78,14 +76,9 @@ def _features(m):
 
 
 def _compile_diagonal(n_q, gates):
-    """Compile a maximal run of phase-type gates and bit reversals into at
-    most two ops and return their binders: one diagonal (none when the run
-    holds no phase-type gate), then one permutation when the run holds an
-    odd number of bit reversals.
+    """Compile a maximal run of phase-type gates into one diagonal op and
+    return its binder.
 
-    A bit reversal inside the run relabels qubit q as n_q + 1 - q for the
-    gates after it (BR . D . BR is diagonal), so the run is one diagonal
-    followed by the reversals' net permutation.
     With draws (d0, d1) a gate with qubits (controls..., target) adds
     d0 * prod(controls) + (phase + d1 - d0) * prod(qubits) to the phase of a
     basis state: a quadratic form in the basis bits, linear in the draws.
@@ -96,24 +89,15 @@ def _compile_diagonal(n_q, gates):
     coefficients plus a linear map of the run's draws, so no table-by-draws
     matrix is ever formed.
     """
-    reversed_ = False
-    terms = []  # (qubits in the run's input frame, target last; phase)
+    terms = []  # (qubits, target last; phase)
     for gate in gates:
-        if isinstance(gate, BitReversal):
-            reversed_ = not reversed_
-            continue
         if isinstance(gate, PhaseShift):
             qubits = (gate.target,)
         elif isinstance(gate, ControlledPhase):
             qubits = (gate.control, gate.target)
         else:
             raise TypeError(f"unknown gate {gate!r}")
-        if reversed_:
-            qubits = tuple(n_q + 1 - q for q in qubits)
         terms.append((qubits, gate.phase))
-    permutation = [partial(_bind_permutation, n_q=n_q)] if reversed_ else []
-    if not terms:
-        return permutation
 
     first = min(min(qubits) for qubits, _ in terms)
     last = max(max(qubits) for qubits, _ in terms)
@@ -167,17 +151,7 @@ def _compile_diagonal(n_q, gates):
 
         return diagonal, 2 * len(terms)
 
-    return [bind] + permutation
-
-
-def _bind_permutation(amps, n_q):
-    """The net bit reversal of a run with an odd number of them; draws none."""
-    perm = bit_reversal_permutation(n_q)
-
-    def permute(d):
-        amps[:] = amps[perm]
-
-    return permute, 0
+    return bind
 
 
 @lru_cache(maxsize=32)
@@ -192,16 +166,16 @@ def _compile(program):
         if is_hadamard:
             binders += [partial(_bind_hadamard, n_q=program.n_q, target=g.target) for g in run]
         else:
-            binders += _compile_diagonal(program.n_q, tuple(run))
+            binders.append(_compile_diagonal(program.n_q, tuple(run)))
     return tuple(binders)
 
 
 class BoundProgram:
     """A program compiled into ops bound to one amplitude buffer.
 
-    Each Hadamard is one op; each maximal run of phase shifts, controlled
-    phases and bit reversals between Hadamards fuses into one diagonal op
-    (see _compile_diagonal).  Each op binds one kernel, a function of its
+    Each Hadamard is one op, a tilted Hadamard; each maximal run of phase
+    shifts and controlled phases between Hadamards fuses into one diagonal
+    op (see _compile_diagonal).  Each op binds one kernel, a function of its
     slice of the draws.  Compilation is done once per program and binding
     takes every view once, so repeated applications (thousands per echo
     experiment) do only arithmetic.  The buffer must be the C-contiguous

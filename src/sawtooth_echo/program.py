@@ -9,9 +9,9 @@ kicked system just after each kick; the kick-first section is the same map
 conjugated by the kick factor.  Both diagonal factors decompose exactly
 into one phase shift per qubit plus one controlled phase per qubit pair by
 expanding the basis index in bits; the dropped constant term is a global
-phase.  The QFT's final bit reversal is an index permutation of the state,
-not a layer of swap gates, so it carries no noise and is excluded from the
-noisy gate count.
+phase.  The QFT circuit leaves its output on reversed qubits; that
+reversal is a relabelling of qubits, never gates, so it is not applied at
+all: the map writes the free rotation on the reversed qubits instead.
 
 Both grids carry a half-cell offset: angles theta_j = 2*pi*(j + 1/2)/N and
 momenta n_j = j + 1/2.  On the integer grids the K=5 map is a resonant
@@ -104,14 +104,6 @@ class PhaseShift:
 
 
 @dataclass(frozen=True)
-class BitReversal:
-    """Qubit-order reversal applied as an index permutation (noise-free)."""
-
-    def inverse(self) -> "BitReversal":
-        return self
-
-
-@dataclass(frozen=True)
 class GateProgram:
     """Ordered gate sequence; immutable and shareable across threads."""
 
@@ -120,8 +112,6 @@ class GateProgram:
 
     def __post_init__(self):
         for gate in self.gates:
-            if isinstance(gate, BitReversal):
-                continue
             targets = (
                 (gate.control, gate.target)
                 if isinstance(gate, ControlledPhase)
@@ -141,11 +131,6 @@ class GateProgram:
     def inverse(self) -> "GateProgram":
         """Reversed gate order with every gate inverted."""
         return GateProgram(self.n_q, tuple(g.inverse() for g in reversed(self.gates)))
-
-    @property
-    def noisy_gate_count(self) -> int:
-        """Gates that receive noise (bit reversals are bookkeeping)."""
-        return sum(1 for g in self.gates if not isinstance(g, BitReversal))
 
 
 def _quadratic_gates(n_q, s, shift):
@@ -180,11 +165,13 @@ def free_rotation_program(n_q: int) -> GateProgram:
 
 
 def qft_program(n_q: int) -> GateProgram:
-    """Quantum Fourier transform with kernel exp(+2*pi*i*j*k/N)/sqrt(N).
+    """Quantum Fourier transform with kernel exp(+2*pi*i*j*k/N)/sqrt(N),
+    without its output bit reversal.
 
     Standard circuit: per target qubit one Hadamard followed by controlled
-    phases pi/2^d from each qubit d places below, then the output bit
-    reversal as an explicit permutation.  Its .inverse() runs the reversed
+    phases pi/2^d from each qubit d places below.  Its matrix is the DFT
+    with its rows in bit-reversed order (qubit q of the output holds bit
+    n_q + 1 - q of the momentum index).  Its .inverse() runs the reversed
     sequence with negated phases.
     """
     if n_q < 1:
@@ -194,18 +181,29 @@ def qft_program(n_q: int) -> GateProgram:
         gates.append(Hadamard(m))
         for d in range(1, n_q - m + 1):
             gates.append(ControlledPhase(m + d, m, math.pi / (1 << d)))
-    gates.append(BitReversal())
     return GateProgram(n_q, tuple(gates))
 
 
 def map_program(params: MapParams) -> GateProgram:
     """One forward map iteration as a gate program; .inverse() is the exact
-    gate-by-gate backward iteration."""
-    kick = quadratic_phase_program(
-        params.n_q, params.kick_coefficient, shift=params.kick_shift
+    gate-by-gate backward iteration.
+
+    The free rotation is written on qubit n_q + 1 - q, the QFT ladder's
+    output order; with R the reversal, R @ diag(free) @ R is that same
+    diagonal on relabelled qubits, so the matrix is unchanged.
+    """
+    n_q = params.n_q
+    kick = quadratic_phase_program(n_q, params.kick_coefficient, shift=params.kick_shift)
+    fourier = qft_program(n_q)
+    # relabelled in place, not reordered: the gate order fixes the compiled
+    # diagonal's coefficient cells and draw columns, and so the noisy output
+    free = tuple(
+        ControlledPhase(n_q + 1 - g.control, n_q + 1 - g.target, g.phase)
+        if isinstance(g, ControlledPhase)
+        else PhaseShift(n_q + 1 - g.target, g.phase)
+        for g in free_rotation_program(n_q).gates
     )
-    fourier = qft_program(params.n_q)
-    return fourier + free_rotation_program(params.n_q) + fourier.inverse() + kick
+    return fourier + GateProgram(n_q, free) + fourier.inverse() + kick
 
 
 def gates_per_iteration(n_q: int) -> int:

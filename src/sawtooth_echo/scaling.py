@@ -62,6 +62,9 @@ class ScalingConfig:
         object.__setattr__(self, "t_r_grid", tuple(int(t) for t in self.t_r_grid))
         if not self.nq_list or not self.epsilon_list:
             raise ValueError("scaling needs at least one n_q and one epsilon")
+        for name, values in (("n_q", self.nq_list), ("epsilon", self.epsilon_list)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"scaling lists a repeated {name}: {values}")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"threshold c must lie in (0, 1), got {self.c}")
         echo_configs = tuple(

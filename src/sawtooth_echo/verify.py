@@ -22,6 +22,7 @@ from .measures import (
 )
 from .oracle import align_global_phase, dense_map_unitary, dft_matrix, program_unitary
 from .program import MapParams, map_program, qft_program
+from .state import bit_reversal_permutation
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,11 @@ def check_map_program_matches_oracle(K: float = 5.0) -> CheckResult:
 
 
 def check_qft_matches_dft() -> CheckResult:
+    """The QFT ladder vs the DFT with its rows in bit-reversed order."""
     dev = 0.0
     for n_q in (2, 3):
-        dev = max(
-            dev, float(np.abs(program_unitary(qft_program(n_q)) - dft_matrix(n_q)).max())
-        )
+        expected = dft_matrix(n_q)[bit_reversal_permutation(n_q)]
+        dev = max(dev, float(np.abs(program_unitary(qft_program(n_q)) - expected).max()))
     return CheckResult(
         name="qft-program-vs-dft-matrix",
         passed=dev < 1e-10,

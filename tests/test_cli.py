@@ -174,7 +174,7 @@ def test_register_too_large_exits_one(tmp_path, capsys, threads):
     assert err.count("\n") == 2 and err.count("physical memory") == 2
 
 
-@pytest.mark.parametrize("nq_list", ["6,1", "6,40"])
+@pytest.mark.parametrize("nq_list", ["6,1", "6,40", "6,6"])
 def test_scaling_validates_every_point_before_simulating(tmp_path, capsys, monkeypatch, nq_list):
     calls = []
     monkeypatch.setattr(scaling, "run_echo_curve", lambda config: calls.append(config) or [])
@@ -264,9 +264,13 @@ def test_module_entry_point_runs_commands():
         assert "error:" in bad.stderr
 
 
-def test_io_error_exit_three(tmp_path):
+def test_io_error_exit_three(tmp_path, monkeypatch):
+    # a missing output directory fails before the simulation starts
+    calls = []
+    monkeypatch.setattr(cli, "run_trace", lambda config: calls.append(config) or [])
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli(*trace_args(missing_dir)) == 3
+    assert calls == []
 
 
 def test_verify_passes(capsys):

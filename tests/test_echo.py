@@ -2,6 +2,7 @@
 
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -169,6 +170,32 @@ def test_tasks_split_each_reversal_time(monkeypatch):
             assert covered == list(range(tasks[0][0].realizations))
 
 
+def test_pool_never_forks_more_workers_than_tasks(monkeypatch):
+    # a stand-in pool records its size and runs tasks inline, so no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", InlinePool)
+    config = dict(n_q=3, epsilon=0.01, t_r=2, realizations=2)
+    records = run_trace(EchoConfig(**config, workers=4))
+    assert sizes == [2]
+    assert records == run_trace(EchoConfig(**config, workers=1))
+
+
 def test_curve_records_independent_of_chunking():
     # 14 realizations: at 2 and 3 workers the chunk count does not divide R
     config = dict(n_q=3, epsilon=0.03, realizations=14, master_seed=11)
@@ -260,6 +287,9 @@ def test_config_validation():
             EchoConfig(n_q=3, epsilon=epsilon, t_r=3)
         with pytest.raises(ValueError):
             ScalingConfig(nq_list=(3,), epsilon_list=(0.01, epsilon))
+    # a repeated grid value is refused: it would be simulated, written and fitted twice
+    with pytest.raises(ValueError):
+        ScalingConfig(nq_list=(3,), epsilon_list=(0.01, 0.01))
     # a register larger than physical memory is refused before allocation
     with pytest.raises(ValueError, match="physical memory"):
         EchoConfig(n_q=40, epsilon=0.0, t_r=3)

@@ -7,7 +7,6 @@ import pytest
 
 from helpers import dense_single_qubit, random_state
 from sawtooth_echo import (
-    BitReversal,
     ControlledPhase,
     GateProgram,
     Hadamard,
@@ -137,10 +136,6 @@ def _reference_noisy(program, amps, draws):
     amps = amps.copy()
     pos = 0
     for gate in program.gates:
-        if isinstance(gate, BitReversal):
-            order = [int(format(j, f"0{n_q}b")[::-1], 2) for j in range(1 << n_q)]
-            amps = amps[order]
-            continue
         if isinstance(gate, Hadamard):
             u = dense_single_qubit(n_q, gate.target, tilted_hadamard(draws[pos]))
             pos += 1
@@ -157,7 +152,7 @@ def _reference_noisy(program, amps, draws):
     return amps
 
 
-def _random_program(n_q, reversals, rng):
+def _random_program(n_q, rng):
     gates = []
     for _ in range(40):
         kind = rng.integers(3)
@@ -168,26 +163,24 @@ def _random_program(n_q, reversals, rng):
         else:
             control, target = rng.choice(np.arange(1, n_q + 1), size=2, replace=False)
             gates.append(ControlledPhase(int(control), int(target), rng.uniform(-8, 8)))
-    for _ in range(reversals):
-        gates.insert(int(rng.integers(len(gates) + 1)), BitReversal())
     return GateProgram(n_q, tuple(gates))
 
 
 @pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6])
 def test_compiled_engine_matches_gate_by_gate_reference(n_q):
-    # draw order, qubit relabelling after reversals and the trailing
-    # permutation of an odd reversal count are invisible to the statistical
-    # checks; compare every amplitude against the dense per-gate reference
+    # draw order and the fusion of phase-type runs into one diagonal are
+    # invisible to the statistical checks; compare every amplitude against
+    # the dense per-gate reference
     rng = np.random.default_rng(40 + n_q)
     params = MapParams(n_q, 5.0)
-    programs = [_random_program(n_q, reversals, rng) for reversals in (0, 1, 2, 3)]
+    programs = [_random_program(n_q, rng) for _ in range(4)]
     programs += [map_program(params), map_program(params).inverse()]
     epsilon = 0.3
     for seed, program in enumerate(programs):
         state = random_state(n_q, rng)
         bound = BoundProgram(program, state.amps.copy())
         assert bound.draw_count == sum(
-            1 if isinstance(g, Hadamard) else 0 if isinstance(g, BitReversal) else 2
+            1 if isinstance(g, Hadamard) else 2
             for g in program.gates
         )
         draws = np.random.default_rng(seed).uniform(-epsilon, epsilon, bound.draw_count)

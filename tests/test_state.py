@@ -16,7 +16,6 @@ from helpers import (
     random_state,
 )
 from sawtooth_echo import (
-    BitReversal,
     ControlledPhase,
     GateProgram,
     Hadamard,
@@ -134,13 +133,6 @@ def test_bit_reversal_permutation_involution():
         # reference: reverse each index's n_q-digit binary string
         reference = [int(format(j, f"0{n_q}b")[::-1], 2) for j in range(1 << n_q)]
         assert perm.tolist() == reference
-    rng = np.random.default_rng(4)
-    state = random_state(5, rng)
-    before = state.amps.copy()
-    run(state, BitReversal())
-    np.testing.assert_array_equal(state.amps, before[bit_reversal_permutation(5)])
-    run(state, BitReversal())
-    np.testing.assert_array_equal(state.amps, before)
 
 
 def test_norm_preserved_over_many_gates():
