@@ -304,9 +304,11 @@ def cmd_scaling(args) -> int:
             K=args.K,
             workers=args.threads,
         )
-        summary, curves = run_scaling(config)
         curves_dir = args.curves_dir or args.out.parent / (args.out.stem + "_curves")
         curves_dir.mkdir(parents=True, exist_ok=True)
+        if not args.out.parent.is_dir():  # fail before the simulation, not after it
+            raise FileNotFoundError(f"output directory {args.out.parent} does not exist")
+        summary, curves = run_scaling(config)
         curve_files = []
         for point, (n_q, epsilon, records) in zip(config.echo_configs, curves):
             csv_path = curves_dir / f"echo_nq{n_q}_eps{epsilon!r}.csv"

@@ -28,6 +28,11 @@ from .program import MapParams, map_program
 from .state import StateVector
 
 
+#: amplitude registers one echo task holds: the start vector, the evolving
+#: buffer, and the scratch buffer of each of its two bound programs
+TASK_REGISTERS = 4
+
+
 @dataclass(frozen=True)
 class EchoConfig:
     """Parameters of one echo experiment (trace or echo-curve mode)."""
@@ -49,10 +54,12 @@ class EchoConfig:
         if not math.isfinite(self.K):
             raise ValueError(f"K must be finite, got {self.K}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if self.n_q + 4 >= memory.bit_length():  # 16 bytes * 2**n_q > memory
+        # TASK_REGISTERS * 16 bytes * 2**n_q > memory, without forming 2**n_q
+        if self.n_q + 4 >= (memory // TASK_REGISTERS).bit_length():
             raise ValueError(
-                f"an n_q = {self.n_q} register needs 2**{self.n_q + 4} bytes, "
-                f"more than the {memory} bytes of physical memory"
+                f"an n_q = {self.n_q} echo task holds {TASK_REGISTERS} registers "
+                f"of 2**{self.n_q + 4} bytes, more than the {memory} bytes of "
+                f"physical memory"
             )
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")

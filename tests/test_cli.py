@@ -70,6 +70,13 @@ def test_trace_byte_identical_reruns(tmp_path):
     out_c = tmp_path / "c.csv"
     assert run_cli(*trace_args(out_c, threads=2)) == 0
     assert out_a.read_bytes() == out_c.read_bytes()
+    # n_q = 3 rotates every target through one Hadamard matmul layout;
+    # n_q = 6 goes through both
+    out_d = tmp_path / "d.csv"
+    out_e = tmp_path / "e.csv"
+    assert run_cli(*trace_args(out_d, nq=6, tr=3, realizations=4)) == 0
+    assert run_cli(*trace_args(out_e, nq=6, tr=3, realizations=4, threads=2)) == 0
+    assert out_d.read_bytes() == out_e.read_bytes()
 
 
 def test_trace_manifest_replay(tmp_path):
@@ -172,6 +179,21 @@ def test_register_too_large_exits_one(tmp_path, capsys, threads):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and err.count("physical memory") == 2
+
+
+def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
+    # physical memory of 2 MiB: one n_q = 16 register (1 MiB) fits, the
+    # four an echo task holds do not; four n_q = 15 registers just fit
+    memory = 2 << 20
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert EchoConfig(n_q=15, epsilon=0.01, t_r=1).n_q == 15
+    with pytest.raises(ValueError, match="physical memory"):
+        EchoConfig(n_q=16, epsilon=0.01, t_r=1)
+    out = tmp_path / "x.csv"
+    assert run_cli(*trace_args(out, nq=16, tr=1, realizations=1)) == 1
+    assert not out.exists()
+    assert "physical memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nq_list", ["6,1", "6,40", "6,6"])
@@ -366,6 +388,23 @@ def test_scaling_from_csv_skips_non_positive_ordinates(tmp_path):
     assert gamma_fit["n_points"] == 3
     assert gamma_fit["exponent"] == pytest.approx(2.0, abs=1e-6)
     assert summary["fits"]["t_e_star_vs_epsilon"]["6"]["n_points"] == 4
+
+
+def test_scaling_missing_out_dir_exits_three_before_simulating(tmp_path):
+    scaling_args = (
+        "scaling", "--nq-list", "3", "--epsilon-list", "0.05,0.1",
+        "--tr-grid", "1..4", "--realizations", 2, "--threads", 1,
+    )
+    curves_dir = tmp_path / "curves"
+    out = tmp_path / "missing" / "s.json"
+    assert run_cli(*scaling_args, "--curves-dir", curves_dir, "--out", out) == 3
+    assert list(curves_dir.glob("*")) == []
+    assert not out.parent.exists()
+    # without --curves-dir the derived '<stem>_curves' directory creates
+    # the summary's directory
+    assert run_cli(*scaling_args, "--out", out) == 0
+    assert out.exists()
+    assert len(list((out.parent / "s_curves").glob("*.csv"))) == 2
 
 
 def test_scaling_simulation_writes_curves_and_summary(tmp_path):

@@ -1,6 +1,10 @@
 """Noise model: tilted Hadamards, random phases, reproducible streams."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +17,16 @@ from sawtooth_echo import (
     MapParams,
     PhaseShift,
     apply_program,
+    bit_reversal_permutation,
+    dft_matrix,
     fidelity,
     gates_per_iteration,
     map_program,
+    qft_program,
     realization_rng,
     tilted_hadamard,
 )
+from sawtooth_echo import engine
 from sawtooth_echo.engine import BoundProgram
 
 
@@ -166,24 +174,79 @@ def _random_program(n_q, rng):
     return GateProgram(n_q, tuple(gates))
 
 
-@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6])
-def test_compiled_engine_matches_gate_by_gate_reference(n_q):
+@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6, 7])
+def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
     # draw order and the fusion of phase-type runs into one diagonal are
     # invisible to the statistical checks; compare every amplitude against
-    # the dense per-gate reference
+    # the dense per-gate reference, with the Hadamard layouts the bind rule
+    # picks (both from n_q = 5) and with every target forced onto each one
     rng = np.random.default_rng(40 + n_q)
     params = MapParams(n_q, 5.0)
     programs = [_random_program(n_q, rng) for _ in range(4)]
     programs += [map_program(params), map_program(params).inverse()]
     epsilon = 0.3
-    for seed, program in enumerate(programs):
-        state = random_state(n_q, rng)
-        bound = BoundProgram(program, state.amps.copy())
-        assert bound.draw_count == sum(
-            1 if isinstance(g, Hadamard) else 2
-            for g in program.gates
+    widest = 2 << n_q
+    for max_stride in (engine._KRON_MAX_STRIDE, 0, widest):  # rule, batched, kron
+        monkeypatch.setattr(engine, "_KRON_MAX_STRIDE", max_stride)
+        for seed, program in enumerate(programs):
+            state = random_state(n_q, rng)
+            bound = BoundProgram(program, state.amps.copy())
+            assert bound.draw_count == sum(
+                1 if isinstance(g, Hadamard) else 2
+                for g in program.gates
+            )
+            draws = np.random.default_rng(seed).uniform(-epsilon, epsilon, bound.draw_count)
+            bound.apply_noisy(np.random.default_rng(seed), epsilon)
+            expected = _reference_noisy(program, state.amps, draws)
+            assert np.abs(bound.amps - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_q", [1, 3, 6])
+def test_odd_op_count_leaves_result_in_callers_buffer(n_q):
+    # qft_program has 2 n_q - 1 ops, so its result lands in the scratch
+    # buffer and is copied back once per application
+    program = qft_program(n_q)
+    state = random_state(n_q, np.random.default_rng(n_q))
+    amps = state.amps
+    before = amps.copy()
+    bound = BoundProgram(program, amps)
+    assert len(bound._ops) == 2 * n_q - 1
+    assert bound.amps is amps
+    matrix = dft_matrix(n_q)[bit_reversal_permutation(n_q)]
+    bound.apply_ideal()
+    assert np.abs(amps - matrix @ before).max() < 1e-12
+    bound.apply_ideal()  # again from the copied-back result
+    assert np.abs(amps - matrix @ (matrix @ before)).max() < 1e-12
+
+
+_BLAS_PROBE = """
+import hashlib
+from sawtooth_echo import MapParams, initial_state, map_program, realization_rng
+from sawtooth_echo.engine import BoundProgram
+state = initial_state(12)
+forward = map_program(MapParams(12, 5.0))
+rng = realization_rng(7, 2, 0)
+for program in (forward, forward.inverse()):
+    bound = BoundProgram(program, state.amps)
+    for _ in range(2):
+        bound.apply_noisy(rng, 0.05)
+print(hashlib.sha256(state.amps.tobytes()).hexdigest())
+"""
+
+
+def test_amplitudes_independent_of_blas_threads():
+    # every Hadamard is a BLAS matmul; the BLAS thread count, fixed when
+    # numpy loads, must not change a single bit of a short n_q = 12 echo
+    src = str(Path(engine.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        draws = np.random.default_rng(seed).uniform(-epsilon, epsilon, bound.draw_count)
-        bound.apply_noisy(np.random.default_rng(seed), epsilon)
-        expected = _reference_noisy(program, state.amps, draws)
-        assert np.abs(bound.amps - expected).max() < 1e-12
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
