@@ -5,7 +5,7 @@ extraction of their decay laws."""
 __version__ = "0.1.0"
 
 from .echo import EchoConfig, EchoRecord, initial_state, realization_rng, run_echo_curve, run_trace
-from .engine import BoundProgram, apply_program, tilted_hadamard
+from .engine import BoundProgram, apply_program
 from .fits import (
     FitResult,
     UnresolvedThreshold,
@@ -23,7 +23,13 @@ from .measures import (
     von_neumann_entropy,
     werner_state,
 )
-from .oracle import align_global_phase, dense_map_unitary, dft_matrix, program_unitary
+from .oracle import (
+    align_global_phase,
+    bit_reversal_permutation,
+    dense_map_unitary,
+    dft_matrix,
+    program_unitary,
+)
 from .program import (
     ControlledPhase,
     GateProgram,
@@ -37,11 +43,6 @@ from .program import (
     quadratic_phase_program,
 )
 from .scaling import ScalingConfig, analyze_curve, run_scaling, summarize_curves, summarize_points
-from .state import (
-    StateVector,
-    bit_reversal_permutation,
-    fidelity,
-    partial_trace_12,
-)
+from .state import StateVector, fidelity, partial_trace_12
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -78,6 +78,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Fixed(argparse.Action):
+    """Store a flag whose value a manifest records, and note it as given:
+    a --from-manifest run refuses it rather than ignore it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.fixed_flags += (self.option_strings[0],)
+
+
 def parse_int_grid(text: str):
     """Grid syntax: 'a..b', 'a..b:step', or a comma-separated list."""
     text = text.strip()
@@ -123,14 +132,20 @@ def build_parser() -> _Parser:
         "scaling", help="decay-law fits over a grid of qubit counts and strengths"
     )
     for sub in (trace, curve, scaling):
-        sub.add_argument("--K", type=float, default=5.0, help="chaos parameter (default 5)")
+        sub.set_defaults(fixed_flags=())
+        sub.add_argument(
+            "--K", type=float, default=5.0, action=_Fixed, help="chaos parameter (default 5)"
+        )
         sub.add_argument(
             "--realizations",
             type=int,
             default=200 if sub is scaling else 400,
+            action=_Fixed,
             help="noise realizations to average (default %(default)s)",
         )
-        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sub.add_argument(
+            "--seed", type=int, default=0, action=_Fixed, help="master seed (default 0)"
+        )
         sub.add_argument(
             "--threads",
             type=int,
@@ -141,18 +156,19 @@ def build_parser() -> _Parser:
             "--out", type=Path, help="output path (CSV; JSON summary for scaling)"
         )
     for sub in (trace, curve):
-        sub.add_argument("--nq", type=int, help="number of qubits")
-        sub.add_argument("--epsilon", type=float, help="perturbation strength")
+        sub.add_argument("--nq", type=int, action=_Fixed, help="number of qubits")
+        sub.add_argument("--epsilon", type=float, action=_Fixed, help="perturbation strength")
         sub.add_argument(
             "--from-manifest", type=Path, help="re-run the experiment recorded in a manifest"
         )
 
-    trace.add_argument("--tr", type=int, help="reversal time in map iterations")
+    trace.add_argument("--tr", type=int, action=_Fixed, help="reversal time in map iterations")
     trace.set_defaults(handler=cmd_run, tr_grid=None)
     curve.add_argument(
         "--tr-grid",
         type=str,
         default="1..60",
+        action=_Fixed,
         help="reversal times, 'a..b[:step]' or comma list (default 1..60)",
     )
     curve.set_defaults(handler=cmd_run, tr=None)
@@ -229,6 +245,11 @@ def cmd_run(args) -> int:
     """trace and echo-curve: one experiment, from flags or from a manifest."""
     trace = args.command == "trace"
     if args.from_manifest is not None:
+        if args.fixed_flags:
+            raise UsageError(
+                f"--from-manifest fixes {', '.join(dict.fromkeys(args.fixed_flags))}; "
+                f"only --threads and --out may be given with it"
+            )
         manifest = load_manifest(args.from_manifest)
         if manifest.get("command") != args.command:
             raise UsageError(

@@ -28,9 +28,9 @@ from .program import MapParams, map_program
 from .state import StateVector
 
 
-#: amplitude registers one echo task holds: the start vector, the evolving
-#: buffer, and the scratch buffer of each of its two bound programs
-TASK_REGISTERS = 4
+#: amplitude registers one echo task holds: the evolving buffer and the
+#: scratch buffer its forward and backward programs share
+TASK_REGISTERS = 2
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,15 @@ def initial_state(n_q: int) -> StateVector:
     """(|00> + |11>)/sqrt(2) on qubits 1, 2 tensored with |0...0>."""
     if n_q < 2:
         raise ValueError(f"initial state needs n_q >= 2, got {n_q}")
-    amps = np.zeros(1 << n_q, dtype=np.complex128)
-    amps[0] = amps[3 << (n_q - 2)] = math.sqrt(0.5)
+    amps = np.empty(1 << n_q, dtype=np.complex128)
+    _write_initial_state(amps)
     return StateVector(n_q, amps)
+
+
+def _write_initial_state(amps: np.ndarray) -> None:
+    # the Bell pair's second amplitude, |11 0...0>, sits at 3 * N/4
+    amps.fill(0.0)
+    amps[0] = amps[3 * amps.size // 4] = math.sqrt(0.5)
 
 
 def realization_rng(master_seed: int, t_r: int, r: int) -> np.random.Generator:
@@ -129,18 +135,16 @@ def _record_measures(amps: np.ndarray, bell_index: int, out: np.ndarray) -> None
 
 
 def _bind_echo(n_q: int, K: float, amps: np.ndarray):
-    """The forward map iteration and its inverse, bound to one buffer."""
-    forward_program = map_program(MapParams(n_q, K))
-    return (
-        BoundProgram(forward_program, amps),
-        BoundProgram(forward_program.inverse(), amps),
-    )
+    """The forward map iteration and its inverse, bound to amps and one
+    shared scratch buffer: the two halves of an echo never overlap."""
+    forward = BoundProgram(map_program(MapParams(n_q, K)), amps)
+    return forward, forward.inverse()
 
 
 def _echo_steps(forward, backward, rng, epsilon: float, t_r: int):
     """Evolve one realization on the buffer both programs are bound to.
 
-    Yields t = 0 for the start vector, then t after each of the 2*t_r noisy
+    Yields t = 0 for the initial state, then t after each of the 2*t_r noisy
     iterations: forward while t <= t_r, backward after.
     """
     yield 0
@@ -158,13 +162,12 @@ def _echo_block(task) -> np.ndarray:
     """
     config, t_r, first, count, record_trace = task
     first_step = 0 if record_trace else 2 * t_r
-    start = initial_state(config.n_q).amps
-    amps = np.empty_like(start)
+    amps = np.empty(1 << config.n_q, dtype=np.complex128)
     forward, backward = _bind_echo(config.n_q, config.K, amps)
     bell_index = 3 << (config.n_q - 2)
     out = np.empty((count, 2 * t_r + 1 - first_step, 3))
     for b in range(count):
-        amps[:] = start
+        _write_initial_state(amps)
         rng = realization_rng(config.master_seed, t_r, first + b)
         for t in _echo_steps(forward, backward, rng, config.epsilon, t_r):
             if t >= first_step:

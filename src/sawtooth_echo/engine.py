@@ -15,12 +15,13 @@ every application including backward evolution):
 A program compiles into two op kinds: each Hadamard, and one fused
 diagonal for each maximal run of phase-type gates between Hadamards (a map
 iteration has 4*n_q ops).  Each op has one kernel, a function of its
-draws, that writes out of place into the other of two buffers (see
-BoundProgram).  Draws are consumed in program order from the caller's
-generator, one uniform vector per application; the echo protocol
-passes each realization's own stream (echo.realization_rng), so a fixed
-(master seed, reversal time, realization) triple reproduces every
-amplitude bit-for-bit.  The ideal program is the same ops with zero draws.
+draws, that writes out of place into the other of two buffers, and a
+program's inverse binds to the same two (see BoundProgram).  Draws are
+consumed in program order from the caller's generator, one uniform vector
+per application; the echo protocol passes each realization's own stream
+(echo.realization_rng), so a fixed (master seed, reversal time,
+realization) triple reproduces every amplitude bit-for-bit.  The ideal
+program is the same ops with zero draws.
 """
 
 import math
@@ -32,14 +33,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
 from .state import StateVector
-
-
-def tilted_hadamard(nu: float) -> np.ndarray:
-    """Hadamard with its axis tilted by nu in the x-z plane (unit axis dotted
-    with the Pauli vector, hence Hermitian, unitary, and self-inverse)."""
-    c = math.cos(0.25 * math.pi + nu)
-    s = math.sin(0.25 * math.pi + nu)
-    return np.array([[s, c], [c, -s]], dtype=np.complex128)
 
 
 #: Targets whose block stride L = 2 * 2**(n_q - t) floats is at most this
@@ -214,15 +207,16 @@ class BoundProgram:
     each maximal run of phase shifts and controlled phases between
     Hadamards fuses into one diagonal op (see _compile_diagonal).  Each op
     binds one kernel, a function of its slice of the draws.  Ops write out
-    of place, so the program owns a scratch buffer beside amps: op i reads
+    of place, so binding allocates a scratch buffer beside amps: op i reads
     one of the two and writes the other, starting from amps, and a program
-    with an odd op count copies its result back once.  Compilation is done
-    once per program and binding takes every view once, so repeated
-    applications (thousands per echo experiment) do only arithmetic.  amps
-    must stay the C-contiguous complex128 array the views were taken from.
+    with an odd op count copies its result back once; inverse() binds to the
+    same two.  Compilation is done once per program and binding takes every
+    view once, so repeated applications (thousands per echo experiment) do
+    only arithmetic.  amps must stay the C-contiguous complex128 array the
+    views were taken from.
     """
 
-    __slots__ = ("amps", "draw_count", "_ops", "_result")
+    __slots__ = ("amps", "draw_count", "_program", "_buffers", "_ops", "_result")
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
         if (
@@ -231,8 +225,12 @@ class BoundProgram:
             or not amps.flags.c_contiguous
         ):
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
-        self.amps = amps
-        buffers = (amps, np.empty_like(amps))
+        self._bind(program, (amps, np.empty_like(amps)))
+
+    def _bind(self, program, buffers):
+        self.amps = buffers[0]
+        self._program = program
+        self._buffers = buffers
         self._ops = []
         start = 0
         for i, bind in enumerate(_compile(program)):
@@ -241,6 +239,13 @@ class BoundProgram:
             start += count
         self.draw_count = start
         self._result = buffers[len(self._ops) % 2]
+
+    def inverse(self) -> "BoundProgram":
+        """The inverse program bound to this program's amps and scratch, so
+        the two must not run at the same time."""
+        inverse = object.__new__(BoundProgram)
+        inverse._bind(self._program.inverse(), self._buffers)
+        return inverse
 
     def apply_ideal(self) -> None:
         """The program without noise: every op at zero draws."""

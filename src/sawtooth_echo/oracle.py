@@ -23,6 +23,12 @@ def dft_matrix(n_q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / N) / np.sqrt(N)
 
 
+def bit_reversal_permutation(n_q: int) -> np.ndarray:
+    """Index permutation reversing the qubit order (an involution)."""
+    bits = (np.arange(1 << n_q)[:, None] >> np.arange(n_q)) & 1  # bit 0 least significant
+    return bits @ (1 << np.arange(n_q - 1, -1, -1))
+
+
 def dense_map_unitary(n_q: int, K: float = 5.0) -> np.ndarray:
     """One-iteration map matrix diag(kick) @ F^dag @ diag(free) @ F over the
     angle grid (the just-after-the-kick section of the driven system).

@@ -1,4 +1,4 @@
-"""State-vector register, the bit-reversal permutation and two-qubit reductions.
+"""State-vector register and its two-qubit reductions.
 
 Basis convention: qubit 1 is the most significant bit of the basis index,
 so |a1 a2 ... an> sits at index a1*2**(n-1) + a2*2**(n-2) + ... + an.
@@ -7,10 +7,9 @@ reshape-and-matmul over contiguous blocks of N/4 amplitudes.
 
 All amplitudes are complex128; the engine's kernels mutate the buffer in
 place and are single-writer.  Read-only operations (fidelity, partial trace)
-are pure.
+are pure.  The echo path works on the bare amplitude array; StateVector
+wraps one for initial_state, verify and the benchmark's identity check.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,14 +30,6 @@ class StateVector:
         self.n_q = n_q
         self.amps = amps
 
-    @classmethod
-    def computational_basis(cls, n_q: int, index: int = 0) -> "StateVector":
-        if not 0 <= index < (1 << n_q):
-            raise ValueError(f"basis index {index} out of range for n_q={n_q}")
-        amps = np.zeros(1 << n_q, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(n_q, amps)
-
     def copy(self) -> "StateVector":
         return StateVector(self.n_q, self.amps.copy())
 
@@ -48,17 +39,6 @@ class StateVector:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateVector(n_q={self.n_q})"
-
-
-@lru_cache(maxsize=None)
-def bit_reversal_permutation(n_q: int) -> np.ndarray:
-    """Index permutation reversing the qubit order (an involution)."""
-    index = np.arange(1 << n_q)
-    perm = np.zeros_like(index)
-    for bit in range(n_q):
-        perm |= ((index >> bit) & 1) << (n_q - 1 - bit)
-    perm.setflags(write=False)
-    return perm
 
 
 def partial_trace_12(state: StateVector) -> np.ndarray:

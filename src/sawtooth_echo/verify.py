@@ -20,9 +20,14 @@ from .measures import (
     von_neumann_entropy,
     werner_state,
 )
-from .oracle import align_global_phase, dense_map_unitary, dft_matrix, program_unitary
+from .oracle import (
+    align_global_phase,
+    bit_reversal_permutation,
+    dense_map_unitary,
+    dft_matrix,
+    program_unitary,
+)
 from .program import MapParams, map_program, qft_program
-from .state import bit_reversal_permutation
 
 
 @dataclass(frozen=True)

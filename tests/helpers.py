@@ -1,5 +1,7 @@
-"""Shared test utilities: random states, dense gate constructions and the
-ergodic-register concurrence check."""
+"""Shared test utilities: random and basis states, dense gate
+constructions and the ergodic-register concurrence check."""
+
+import math
 
 import numpy as np
 
@@ -9,6 +11,12 @@ from sawtooth_echo import StateVector, concurrence
 def random_state(n_q: int, rng: np.random.Generator) -> StateVector:
     amps = rng.standard_normal(1 << n_q) + 1j * rng.standard_normal(1 << n_q)
     return StateVector(n_q, amps / np.linalg.norm(amps))
+
+
+def basis_state(n_q: int, index: int) -> StateVector:
+    amps = np.zeros(1 << n_q, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(n_q, amps)
 
 
 def diagonal_ergodic_eof_check(rho, offdiag_bound: float) -> bool:
@@ -34,6 +42,14 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def tilted_hadamard(nu: float) -> np.ndarray:
+    """Hadamard with its axis tilted by nu in the x-z plane (unit axis dotted
+    with the Pauli vector, hence Hermitian, unitary, and self-inverse)."""
+    c = math.cos(0.25 * math.pi + nu)
+    s = math.sin(0.25 * math.pi + nu)
+    return np.array([[s, c], [c, -s]], dtype=np.complex128)
 
 
 def dense_single_qubit(n_q: int, target: int, u: np.ndarray) -> np.ndarray:

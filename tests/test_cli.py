@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sawtooth_echo import cli, scaling
-from sawtooth_echo.echo import EchoConfig, run_trace
+from sawtooth_echo.echo import TASK_REGISTERS, EchoConfig, run_trace
 from sawtooth_echo.measures import ergodic_entropy_reference
 from sawtooth_echo.output import (
     CURVE_HEADER,
@@ -85,6 +85,43 @@ def test_trace_manifest_replay(tmp_path):
     replay = tmp_path / "replay.csv"
     assert run_cli("trace", "--from-manifest", manifest_path_for(out), "--out", replay) == 0
     assert out.read_bytes() == replay.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("trace", "--nq", 4),
+        ("trace", "--epsilon", 0.03),
+        ("trace", "--tr", 2),
+        ("trace", "--K", 4.0),
+        ("trace", "--realizations", 3),
+        ("trace", "--seed", 99),
+        ("trace", "--seed", 5),  # the recorded value
+        ("echo-curve", "--tr-grid", "1..3"),
+    ],
+)
+def test_manifest_replay_refuses_flags_it_fixes(tmp_path, capsys, command, flag, value):
+    # a flag the manifest records would be silently overridden by it; the
+    # replay names the flag and exits 1 before writing anything, even when
+    # the value matches the recorded one
+    out = tmp_path / "run.csv"
+    if command == "trace":
+        assert run_cli(*trace_args(out)) == 0
+    else:
+        assert run_cli(
+            "echo-curve", "--nq", 3, "--epsilon", 0.02, "--tr-grid", "1,2",
+            "--realizations", 2, "--threads", 1, "--out", out,
+        ) == 0
+    capsys.readouterr()
+    manifest = manifest_path_for(out)
+    replay = tmp_path / "replay.csv"
+    code = run_cli(command, "--from-manifest", manifest, flag, value, "--out", replay)
+    assert code == 1
+    assert f"--from-manifest fixes {flag}" in capsys.readouterr().err
+    assert not replay.exists()
+    # --threads and --out stay allowed
+    assert run_cli(command, "--from-manifest", manifest, "--threads", 2, "--out", replay) == 0
+    assert replay.read_bytes() == out.read_bytes()
 
 
 def test_trace_csv_roundtrips_doubles_exactly(tmp_path):
@@ -182,16 +219,18 @@ def test_register_too_large_exits_one(tmp_path, capsys, threads):
 
 
 def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
-    # physical memory of 2 MiB: one n_q = 16 register (1 MiB) fits, the
-    # four an echo task holds do not; four n_q = 15 registers just fit
+    # physical memory of 2 MiB holds the TASK_REGISTERS registers of
+    # 16 * 2**n_q bytes an echo task needs up to n_q = 16 (two registers)
     memory = 2 << 20
+    fits = max(n for n in range(1, 30) if TASK_REGISTERS * (16 << n) <= memory)
+    assert (TASK_REGISTERS, fits) == (2, 16)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert EchoConfig(n_q=15, epsilon=0.01, t_r=1).n_q == 15
+    assert EchoConfig(n_q=fits, epsilon=0.01, t_r=1).n_q == fits
     with pytest.raises(ValueError, match="physical memory"):
-        EchoConfig(n_q=16, epsilon=0.01, t_r=1)
+        EchoConfig(n_q=fits + 1, epsilon=0.01, t_r=1)
     out = tmp_path / "x.csv"
-    assert run_cli(*trace_args(out, nq=16, tr=1, realizations=1)) == 1
+    assert run_cli(*trace_args(out, nq=fits + 1, tr=1, realizations=1)) == 1
     assert not out.exists()
     assert "physical memory" in capsys.readouterr().err
 

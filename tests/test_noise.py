@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_single_qubit, random_state
+from helpers import dense_single_qubit, random_state, tilted_hadamard
 from sawtooth_echo import (
     ControlledPhase,
     GateProgram,
@@ -24,7 +24,6 @@ from sawtooth_echo import (
     map_program,
     qft_program,
     realization_rng,
-    tilted_hadamard,
 )
 from sawtooth_echo import engine
 from sawtooth_echo.engine import BoundProgram
@@ -217,6 +216,46 @@ def test_odd_op_count_leaves_result_in_callers_buffer(n_q):
     assert np.abs(amps - matrix @ before).max() < 1e-12
     bound.apply_ideal()  # again from the copied-back result
     assert np.abs(amps - matrix @ (matrix @ before)).max() < 1e-12
+
+
+def _mirrored_draws(program, draws):
+    """The draws under which program.inverse() undoes program's noisy
+    application: gates reversed, each gate's draws kept in order, and
+    phase-type draws negated (a tilted Hadamard is its own inverse)."""
+    chunks = []
+    pos = 0
+    for gate in program.gates:
+        count = 1 if isinstance(gate, Hadamard) else 2
+        chunk = draws[pos : pos + count]
+        chunks.append(chunk if count == 1 else -chunk)
+        pos += count
+    return np.concatenate(chunks[::-1])
+
+
+@pytest.mark.parametrize("n_q", range(2, 9))
+def test_inverse_with_mirrored_draws_undoes_noisy_program(n_q):
+    # the inverse is bound to the forward program's amps and scratch; fed
+    # the mirrored draws it returns the start exactly, and fed the draws
+    # reversed wholesale (the negative control) it does not; qft_program
+    # has an odd op count, so its result is copied back through the scratch
+    rng = np.random.default_rng(60 + n_q)
+    programs = [map_program(MapParams(n_q, 5.0)), qft_program(n_q)]
+    programs += [_random_program(n_q, rng) for _ in range(2)]
+    for program in programs:
+        start = random_state(n_q, rng).amps
+        amps = start.copy()
+        forward = BoundProgram(program, amps)
+        backward = forward.inverse()
+        assert backward.amps is amps
+        assert backward._buffers is forward._buffers
+        assert backward.draw_count == forward.draw_count
+        draws = rng.uniform(-0.3, 0.3, forward.draw_count)
+        forward._apply(draws)
+        backward._apply(_mirrored_draws(program, draws))
+        assert np.abs(amps - start).max() < 1e-13
+        forward._apply(draws)
+        backward._apply(draws[::-1])
+        assert np.abs(amps - start).max() > 1e-2
 
 
 _BLAS_PROBE = """

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
@@ -18,20 +20,50 @@ def run_child(*args):
     )
 
 
-def test_traced_child_run_matches_untraced(tmp_path):
+COMMON = ["--realizations", 4, "--seed", 1, "--threads", 2]
+COMMANDS = {  # command: (CLI arguments before --out, --refit mode, output file)
+    "trace": (["trace", "--nq", 3, "--tr", 2, "--epsilon", 0.01, *COMMON], "forward", "csv"),
+    "echo-curve": (
+        ["echo-curve", "--nq", 3, "--tr-grid", "1,2", "--epsilon", 0.01, *COMMON],
+        "curve",
+        "csv",
+    ),
+    "scaling": (
+        ["scaling", "--nq-list", 3, "--epsilon-list", "0.01,0.02", "--tr-grid", "1..4",
+         *COMMON],
+        "none",
+        "json",
+    ),
+}
+
+
+def outputs(out):
+    """The bytes a run leaves: its CSV, or for scaling every curve CSV (the
+    summary carries a timestamp)."""
+    if out.suffix == ".csv":
+        return {out.name: out.read_bytes()}
+    curves = out.parent / (out.stem + "_curves")
+    return {path.name: path.read_bytes() for path in sorted(curves.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_traced_child_run_matches_untraced(tmp_path, command):
+    cli_args, refit, suffix = COMMANDS[command]
     trace_dir = tmp_path / "spans"
     trace_dir.mkdir()
-    cli_args = [
-        "trace", "--nq", 3, "--tr", 2, "--epsilon", 0.01, "--realizations", 4,
-        "--seed", 1, "--threads", 2,
-    ]
+    traced_out = tmp_path / "traced" / f"out.{suffix}"
+    untraced_out = tmp_path / "untraced" / f"out.{suffix}"
+    traced_out.parent.mkdir()
+    untraced_out.parent.mkdir()
     traced = run_child(
-        "--trace-dir", trace_dir, "--check", "3,2", "--refit", "forward",
-        "--", *cli_args, "--out", tmp_path / "t.csv",
+        "--trace-dir", trace_dir, "--check", "3,2", "--refit", refit,
+        "--", *cli_args, "--out", traced_out,
     )
     assert traced.returncode == 0, traced.stderr
     assert (trace_dir / "cli.pkl").is_file()
     assert list(trace_dir.glob("task-*.pkl"))
-    untraced = run_child("--", *cli_args, "--out", tmp_path / "u.csv")
+    untraced = run_child("--", *cli_args, "--out", untraced_out)
     assert untraced.returncode == 0, untraced.stderr
-    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+    expected = outputs(untraced_out)
+    assert expected and all(expected.values())
+    assert outputs(traced_out) == expected

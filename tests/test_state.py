@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    basis_state,
     dense_controlled_phase,
     dense_phase_shift,
     dense_single_qubit,
@@ -47,7 +48,7 @@ def test_identity_leaves_state_unchanged():
 
 
 def test_hadamard_on_zero_register():
-    state = StateVector.computational_basis(3, 0)
+    state = basis_state(3, 0)
     run(state, Hadamard(1))
     expected = np.zeros(8, dtype=complex)
     expected[0] = expected[4] = 1 / np.sqrt(2)  # |000> + |100>
@@ -113,7 +114,7 @@ def test_controlled_phase_basics():
 
 
 def test_gate_input_validation():
-    state = StateVector.computational_basis(3, 0)
+    state = basis_state(3, 0)
     with pytest.raises(ValueError):
         run(state, Hadamard(0))
     with pytest.raises(ValueError):
@@ -209,11 +210,11 @@ def test_fidelity_basics():
     rng = np.random.default_rng(9)
     state = random_state(4, rng)
     assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
-    a = StateVector.computational_basis(3, 1)
-    b = StateVector.computational_basis(3, 6)
+    a = basis_state(3, 1)
+    b = basis_state(3, 6)
     assert fidelity(a, b) == 0.0
     plus = StateVector(2, np.array([1, 0, 1, 0]) / np.sqrt(2))
-    zero = StateVector.computational_basis(2, 0)
+    zero = basis_state(2, 0)
     assert fidelity(plus, zero) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         fidelity(a, random_state(4, rng))
@@ -224,5 +225,3 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(3))
     with pytest.raises(ValueError):
         StateVector(0, np.zeros(1))
-    with pytest.raises(ValueError):
-        StateVector.computational_basis(2, 4)
