@@ -79,8 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Fixed(argparse.Action):
-    """Store a flag whose value a manifest records, and note it as given:
-    a --from-manifest run refuses it rather than ignore it."""
+    """Store a flag that sets up a simulation, and note it as given: a
+    --from-manifest or --from-csv run refuses it rather than ignore it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -150,6 +150,7 @@ def build_parser() -> _Parser:
             "--threads",
             type=int,
             default=None,
+            action=_Fixed if sub is scaling else "store",
             help="parallel realization workers (default: available cores)",
         )
         sub.add_argument(
@@ -173,12 +174,17 @@ def build_parser() -> _Parser:
     )
     curve.set_defaults(handler=cmd_run, tr=None)
 
-    scaling.add_argument("--nq-list", type=str, help="qubit counts, e.g. 4,5,6")
-    scaling.add_argument("--epsilon-list", type=str, help="strengths, e.g. 0.01,0.02")
+    scaling.add_argument(
+        "--nq-list", type=str, action=_Fixed, help="qubit counts, e.g. 4,5,6"
+    )
+    scaling.add_argument(
+        "--epsilon-list", type=str, action=_Fixed, help="strengths, e.g. 0.01,0.02"
+    )
     scaling.add_argument(
         "--tr-grid",
         type=str,
         default=None,
+        action=_Fixed,
         help="reversal-time grid per point (default: built-in coarse grid)",
     )
     scaling.add_argument("--c", type=float, default=0.9, help="echo threshold (default 0.9)")
@@ -186,6 +192,7 @@ def build_parser() -> _Parser:
         "--curves-dir",
         type=Path,
         default=None,
+        action=_Fixed,
         help="directory for per-point curve CSVs (default: '<out stem>_curves')",
     )
     scaling.add_argument(
@@ -308,6 +315,12 @@ def _load_curves(paths):
 def cmd_scaling(args) -> int:
     _require(args, ["out"])
     if args.from_csv is not None:
+        if args.fixed_flags:
+            raise UsageError(
+                f"--from-csv fits recorded curves and takes no "
+                f"{', '.join(dict.fromkeys(args.fixed_flags))}; "
+                f"only --c and --out may be given with it"
+            )
         summary = summarize_curves(_load_curves(args.from_csv), c=args.c)
         summary["source"] = [str(p) for p in args.from_csv]
         curve_files = None

@@ -15,11 +15,14 @@ every application including backward evolution):
 A program compiles into two op kinds: each Hadamard, and one fused
 diagonal for each maximal run of phase-type gates between Hadamards (a map
 iteration has 4*n_q ops).  Each op has one kernel, a function of its
-draws, that writes out of place into the other of two buffers, and a
-program's inverse binds to the same two (see BoundProgram).  Draws are
-consumed in program order from the caller's generator, one uniform vector
-per application; the echo protocol passes each realization's own stream
-(echo.realization_rng), so a fixed (master seed, reversal time,
+draws, that writes out of place into the other of two buffers.  A diagonal
+whose phase matrix fits _DENSE_PHASE_BYTES has its phases evaluated by the
+bound program before the ops run: one matmul per such op into one phase
+buffer, then one cos and one sin for all of them into one factor buffer.
+A program's inverse binds to the same buffers (see BoundProgram).  Draws
+are consumed in program order from the caller's generator, one uniform
+vector per application; the echo protocol passes each realization's own
+stream (echo.realization_rng), so a fixed (master seed, reversal time,
 realization) triple reproduces every amplitude bit-for-bit.  The ideal
 program is the same ops with zero draws.
 """
@@ -42,6 +45,16 @@ from .state import StateVector
 #: measured at L = 16 for n_q = 10 and 12, and at n_q <= 6 the two differ
 #: by at most 0.3 us per application.
 _KRON_MAX_STRIDE = 16
+
+#: A fused diagonal whose phase matrix P (table entries x draws, float64)
+#: takes at most this many bytes evaluates its phases as one P @ draws
+#: matmul; a larger one keeps the factorized F_high @ C @ F_low^T.  The
+#: choice is fixed by the op's window and gate count: in a map iteration
+#: every diagonal is dense up to n_q = 8, the two full-register ones (free
+#: rotation and kick) factorize from n_q = 9, and the QFT ladders are dense
+#: up to a 10-qubit window at any n_q.  So the dense tables a map iteration
+#: binds stop growing at n_q = 10.
+_DENSE_PHASE_BYTES = 256 * 1024
 
 
 def _bind_hadamard(src, dst, n_q, target):
@@ -86,35 +99,58 @@ def _bind_hadamard(src, dst, n_q, target):
             diagonals[...] = rotation_column
             np.matmul(rows_src, kron, out=rows_dst)
 
-    return tilted, 1
+    return tilted
+
+
+def _monomial_columns(m, monomials):
+    """Each monomial, a tuple of bit positions (bit 0 most significant), as
+    a 0/1 column over the 2**m settings of m bits; () is the constant 1."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return np.column_stack([bits[:, list(mono)].prod(axis=1) for mono in monomials]).astype(float)
 
 
 @lru_cache(maxsize=None)
 def _features(m):
-    """Feature columns over the 2**m settings of m bits (bit 0 most
-    significant): each bit, the constant 1, and each product of two bits.
-    Returns the matrix and the column index of each monomial."""
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    """Feature columns over the 2**m settings of m bits: each bit, the
+    constant 1, and each product of two bits.  Returns the matrix and the
+    column index of each monomial."""
     monomials = [(i,) for i in range(m)] + [()] + list(combinations(range(m), 2))
-    columns = [bits[:, list(mono)].prod(axis=1) for mono in monomials]
-    features = np.column_stack(columns).astype(float)
+    features = _monomial_columns(m, monomials)
     features.setflags(write=False)
     return features, {mono: c for c, mono in enumerate(monomials)}
 
 
-def _compile_diagonal(n_q, gates):
-    """Compile a maximal run of phase-type gates into one diagonal op and
-    return its binder.
+def _bind_dense_diagonal(src, dst, factor, shape):
+    """A diagonal whose factor exp(i * phase) the bound program writes into
+    factor before its ops run: one multiply from src into dst."""
+    view = src.reshape(shape)
+    out = dst.reshape(shape)
+    column = factor.reshape(-1, 1)
+
+    def diagonal(d):
+        np.multiply(view, column, out=out)
+
+    return diagonal
+
+
+def _compile_diagonal(n_q, gates, phase_budget):
+    """Compile a maximal run of phase-type gates into one diagonal op.
 
     With draws (d0, d1) a gate with qubits (controls..., target) adds
     d0 * prod(controls) + (phase + d1 - d0) * prod(qubits) to the phase of a
     basis state: a quadratic form in the basis bits, linear in the draws.
+    The table spans the window of qubits the run touches; its phase is the
+    ideal coefficients plus a linear map of the run's draws, one
+    coefficient per monomial the run sets.
 
-    The table spans the window of qubits the run touches.  Its phase is
-    evaluated over a high/low split of the window index as
-    F_high @ C @ F_low^T, where the coefficient matrix C is the ideal
-    coefficients plus a linear map of the run's draws, so no table-by-draws
-    matrix is ever formed.
+    Returns (bind, phases).  When the phase matrix P, the monomial columns
+    over the whole table times that linear map, takes at most phase_budget
+    bytes, phases is (P, ideal table), each one product of the monomial
+    columns, and bind(src, dst, factor) binds the multiply by the factor the
+    bound program evaluates.  Otherwise phases is None and bind(src, dst)
+    evaluates the table over a high/low split of the window index as
+    F_high @ C @ F_low^T, where the coefficient matrix C is filled from the
+    draws on every application, so no table-by-draws matrix is ever formed.
     """
     terms = []  # (qubits, target last; phase)
     for gate in gates:
@@ -129,28 +165,20 @@ def _compile_diagonal(n_q, gates):
     first = min(min(qubits) for qubits, _ in terms)
     last = max(max(qubits) for qubits, _ in terms)
     width = last - first + 1
-    high = width // 2
-    f_high, high_column = _features(high)
-    f_low, low_column = _features(width - high)
-    f_low_t = f_low.T.copy()
+    shape = (1 << (first - 1), 1 << width, 1 << (n_q - last))
 
-    def cell(monomial):  # flat index of a monomial's coefficient in C
-        row = high_column[tuple(i for i in monomial if i < high)]
-        col = low_column[tuple(i - high for i in monomial if i >= high)]
-        return row * f_low.shape[1] + col
-
-    cells = {}  # cell of C -> slot of a coefficient the run sets
+    monomials = {}  # window-local monomial -> slot of a coefficient the run sets
     term_slots = []  # (slot of prod(controls), slot of prod(qubits))
     for qubits, _ in terms:
         local = [q - first for q in qubits]
         term_slots.append(
             (
-                cells.setdefault(cell(sorted(local[:-1])), len(cells)),
-                cells.setdefault(cell(sorted(local)), len(cells)),
+                monomials.setdefault(tuple(sorted(local[:-1])), len(monomials)),
+                monomials.setdefault(tuple(sorted(local)), len(monomials)),
             )
         )
-    weights = np.zeros((len(cells), 2 * len(terms)))
-    offsets = np.zeros(len(cells))  # the ideal coefficients
+    weights = np.zeros((len(monomials), 2 * len(terms)))
+    offsets = np.zeros(len(monomials))  # the ideal coefficients
     for g, ((controls, both), (_, phase)) in enumerate(zip(term_slots, terms)):
         weights[controls, 2 * g] += 1.0
         weights[both, 2 * g] -= 1.0
@@ -159,12 +187,29 @@ def _compile_diagonal(n_q, gates):
         # table entry's summed phase is as accurate as the product of its
         # gates' factors would be
         offsets[both] += math.atan2(math.sin(phase), math.cos(phase))
-    slots = np.array(list(cells))
+
+    if (8 << width) * weights.shape[1] <= phase_budget:  # the bytes of P
+        columns = _monomial_columns(width, monomials)
+        phases = (columns @ weights, columns @ offsets)
+        for table in phases:
+            table.setflags(write=False)
+        return partial(_bind_dense_diagonal, shape=shape), phases
+
+    high = width // 2
+    f_high, high_column = _features(high)
+    f_low, low_column = _features(width - high)
+    f_low_t = f_low.T.copy()
+    slots = np.array(
+        [
+            high_column[tuple(i for i in mono if i < high)] * f_low.shape[1]
+            + low_column[tuple(i - high for i in mono if i >= high)]
+            for mono in monomials
+        ]
+    )  # the flat cell of C that each coefficient fills
     for table in (f_low_t, weights, slots, offsets):
         table.setflags(write=False)
 
     def bind(src, dst):
-        shape = (1 << (first - 1), 1 << width, 1 << (n_q - last))
         view = src.reshape(shape)
         out = dst.reshape(shape)
         coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
@@ -178,26 +223,52 @@ def _compile_diagonal(n_q, gates):
             np.sin(phase, out=factor.imag)
             np.multiply(view, factor.reshape(-1, 1), out=out)
 
-        return diagonal, 2 * len(terms)
+        return diagonal
 
-    return bind
+    return bind, None
 
 
 @lru_cache(maxsize=32)
-def _compile(program):
-    """The buffer-independent form of a program: one binder per op, which
-    takes the op's (source, destination) buffers.
+def _compile(program, phase_budget):
+    """The buffer-independent form of a program under a dense-phase budget.
+
+    Returns (ops, phase_ops, ideal):
+    * ops: per op (bind, draws, table), where draws is the op's slice of the
+      draw vector and bind takes the op's (source, destination) buffers,
+      plus its slice table of the factor buffer when table is not None;
+    * phase_ops: per dense diagonal (P, draws, table);
+    * ideal: the dense diagonals' ideal phase tables, end to end.
 
     Cached, because every echo task binds the same forward and backward
-    programs to a fresh buffer.
+    programs to fresh buffers.
     """
-    binders = []
+    ops = []
+    phase_ops = []
+    ideal = []
+    draws = entries = 0
     for is_hadamard, run in groupby(program.gates, lambda g: isinstance(g, Hadamard)):
         if is_hadamard:
-            binders += [partial(_bind_hadamard, n_q=program.n_q, target=g.target) for g in run]
-        else:
-            binders.append(_compile_diagonal(program.n_q, tuple(run)))
-    return tuple(binders)
+            for g in run:
+                bind = partial(_bind_hadamard, n_q=program.n_q, target=g.target)
+                ops.append((bind, slice(draws, draws + 1), None))
+                draws += 1
+            continue
+        run = tuple(run)
+        span = slice(draws, draws + 2 * len(run))
+        draws = span.stop
+        bind, phases = _compile_diagonal(program.n_q, run, phase_budget)
+        if phases is None:
+            ops.append((bind, span, None))
+            continue
+        matrix, table = phases
+        rows = slice(entries, entries + table.size)
+        entries = rows.stop
+        ops.append((bind, span, rows))
+        phase_ops.append((matrix, span, rows))
+        ideal.append(table)
+    ideal = np.concatenate([np.zeros(0), *ideal])
+    ideal.setflags(write=False)
+    return tuple(ops), tuple(phase_ops), ideal
 
 
 class BoundProgram:
@@ -209,14 +280,26 @@ class BoundProgram:
     binds one kernel, a function of its slice of the draws.  Ops write out
     of place, so binding allocates a scratch buffer beside amps: op i reads
     one of the two and writes the other, starting from amps, and a program
-    with an odd op count copies its result back once; inverse() binds to the
-    same two.  Compilation is done once per program and binding takes every
-    view once, so repeated applications (thousands per echo experiment) do
-    only arithmetic.  amps must stay the C-contiguous complex128 array the
-    views were taken from.
+    with an odd op count copies its result back once.
+
+    A diagonal whose phase matrix fits _DENSE_PHASE_BYTES is dense: binding
+    gives it a slice of one phase buffer and of one complex factor buffer,
+    and apply() fills both before the ops run (one matmul per dense op, then
+    one add of the ideal tables, one cos and one sin), so the op itself is
+    one multiply.  The two tables hold 24 bytes per dense table entry, so
+    their size follows the dense ops the budget admits, not the register;
+    they hold nothing between applications.  inverse() binds to the same
+    amps, scratch, phase and factor buffers.
+
+    Compilation is done once per program and binding takes every view once,
+    so repeated applications (thousands per echo experiment) do only
+    arithmetic.  amps must stay the C-contiguous complex128 array the views
+    were taken from.
     """
 
-    __slots__ = ("amps", "draw_count", "_program", "_buffers", "_ops", "_result")
+    __slots__ = (
+        "amps", "draw_count", "_program", "_buffers", "_ops", "_phase_ops", "_ideal", "_result"
+    )
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
         if (
@@ -225,42 +308,71 @@ class BoundProgram:
             or not amps.flags.c_contiguous
         ):
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
-        self._bind(program, (amps, np.empty_like(amps)))
+        entries = _compile(program, _DENSE_PHASE_BYTES)[2].size
+        tables = (np.empty(entries), np.empty(entries, dtype=np.complex128))
+        self._bind(program, (amps, np.empty_like(amps)) + tables)
 
     def _bind(self, program, buffers):
+        ops, phase_ops, self._ideal = _compile(program, _DENSE_PHASE_BYTES)
         self.amps = buffers[0]
         self._program = program
-        self._buffers = buffers
+        self._buffers = buffers  # (amps, scratch, phases, factors)
+        phases, factors = buffers[2:]
         self._ops = []
-        start = 0
-        for i, bind in enumerate(_compile(program)):
-            kernel, count = bind(buffers[i % 2], buffers[1 - i % 2])
-            self._ops.append((kernel, start, start + count))
-            start += count
-        self.draw_count = start
-        self._result = buffers[len(self._ops) % 2]
+        for i, (bind, draws, table) in enumerate(ops):
+            src, dst = buffers[i % 2], buffers[1 - i % 2]
+            kernel = bind(src, dst) if table is None else bind(src, dst, factors[table])
+            self._ops.append((kernel, draws))
+        self._phase_ops = [(matrix, draws, phases[table]) for matrix, draws, table in phase_ops]
+        self.draw_count = ops[-1][1].stop if ops else 0
+        self._result = buffers[len(ops) % 2]
 
     def inverse(self) -> "BoundProgram":
-        """The inverse program bound to this program's amps and scratch, so
-        the two must not run at the same time."""
+        """The inverse program bound to this program's buffers, so the two
+        must not run at the same time."""
         inverse = object.__new__(BoundProgram)
         inverse._bind(self._program.inverse(), self._buffers)
         return inverse
 
+    def mirror(self, draws: np.ndarray) -> np.ndarray:
+        """The draws under which inverse().apply undoes apply(draws) exactly:
+        gates in reverse order, each gate's draws kept in order, and the
+        phase-type draws negated (a tilted Hadamard is its own inverse at the
+        same draw)."""
+        gates = []  # (draw indices, sign) of each gate
+        start = 0
+        for gate in self._program.gates:
+            count = 1 if isinstance(gate, Hadamard) else 2
+            gates.append((range(start, start + count), 1.0 if count == 1 else -1.0))
+            start += count
+        index = [i for span, _ in reversed(gates) for i in span]
+        sign = [s for span, s in reversed(gates) for _ in span]
+        return draws[index] * sign
+
+    def apply(self, draws: np.ndarray) -> None:
+        """One application at the given draws, draw_count of them in program
+        order: one per Hadamard tilt, (d0, d1) per phase-type gate."""
+        if draws.shape != (self.draw_count,):
+            raise ValueError(f"expected {self.draw_count} draws, got shape {draws.shape}")
+        phases, factors = self._buffers[2:]
+        for matrix, span, phase in self._phase_ops:
+            np.matmul(matrix, draws[span], out=phase)
+        np.add(phases, self._ideal, out=phases)
+        np.cos(phases, out=factors.real)
+        np.sin(phases, out=factors.imag)
+        for kernel, span in self._ops:
+            kernel(draws[span])
+        if self._result is not self.amps:
+            np.copyto(self.amps, self._result)
+
     def apply_ideal(self) -> None:
         """The program without noise: every op at zero draws."""
-        self._apply(np.zeros(self.draw_count))
+        self.apply(np.zeros(self.draw_count))
 
     def apply_noisy(self, rng: np.random.Generator, epsilon: float) -> None:
         """One application with draws uniform in [-epsilon, epsilon]; at
         epsilon = 0 they are zeros (rng still advances)."""
-        self._apply(rng.uniform(-epsilon, epsilon, self.draw_count))
-
-    def _apply(self, draws: np.ndarray) -> None:
-        for kernel, start, stop in self._ops:
-            kernel(draws[start:stop])
-        if self._result is not self.amps:
-            np.copyto(self.amps, self._result)
+        self.apply(rng.uniform(-epsilon, epsilon, self.draw_count))
 
 
 def apply_program(program: GateProgram, state: StateVector) -> StateVector:
@@ -269,4 +381,3 @@ def apply_program(program: GateProgram, state: StateVector) -> StateVector:
         raise ValueError("program and state have different qubit counts")
     BoundProgram(program, state.amps).apply_ideal()
     return state
-

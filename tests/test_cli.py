@@ -316,7 +316,7 @@ def test_module_entry_point_runs_commands():
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert ok.returncode == 0
-        assert ok.stdout.count("[PASS]") == 6
+        assert ok.stdout.count("[PASS]") == 7
         bad = subprocess.run(
             [sys.executable, "-m", module, "verify", "--no-such-flag"],
             capture_output=True, text=True, env=env, timeout=120,
@@ -337,7 +337,8 @@ def test_io_error_exit_three(tmp_path, monkeypatch):
 def test_verify_passes(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
+    assert out.count("[PASS]") == 7
+    assert "[PASS] noisy-echo-reversibility" in out
     assert "FAIL" not in out
 
 
@@ -427,6 +428,33 @@ def test_scaling_from_csv_skips_non_positive_ordinates(tmp_path):
     assert gamma_fit["n_points"] == 3
     assert gamma_fit["exponent"] == pytest.approx(2.0, abs=1e-6)
     assert summary["fits"]["t_e_star_vs_epsilon"]["6"]["n_points"] == 4
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--nq-list", "9"),
+        ("--epsilon-list", "0.5"),
+        ("--tr-grid", "1..3"),
+        ("--realizations", 7),
+        ("--seed", 99),
+        ("--K", 4.0),
+        ("--threads", 1),
+        ("--curves-dir", "curves"),
+    ],
+)
+def test_scaling_from_csv_refuses_simulation_flags(tmp_path, capsys, flag, value):
+    # the recorded curves fix every simulation setting; a flag that sets one
+    # would be silently ignored, so the fit names it and exits 1 unwritten
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", csv_path, flag, value, "--out", out) == 1
+    assert f"--from-csv fits recorded curves and takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    # --c and --out stay allowed
+    assert run_cli("scaling", "--from-csv", csv_path, "--c", 0.8, "--out", out) == 0
 
 
 def test_scaling_missing_out_dir_exits_three_before_simulating(tmp_path):

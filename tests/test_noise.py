@@ -1,5 +1,6 @@
 """Noise model: tilted Hadamards, random phases, reproducible streams."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -152,8 +153,9 @@ def _reference_noisy(program, amps, draws):
             primitive = np.diag([np.exp(1j * d0), np.exp(1j * (gate.phase + d1))])
             u = dense_single_qubit(n_q, gate.target, primitive)
             if isinstance(gate, ControlledPhase):
+                # both factors are diagonal, so their product is elementwise
                 unset = dense_single_qubit(n_q, gate.control, np.diag([1.0, 0.0]))
-                u = unset + dense_single_qubit(n_q, gate.control, np.diag([0.0, 1.0])) @ u
+                u = unset + dense_single_qubit(n_q, gate.control, np.diag([0.0, 1.0])) * u
         amps = u @ amps
     assert pos == len(draws)
     return amps
@@ -173,31 +175,61 @@ def _random_program(n_q, rng):
     return GateProgram(n_q, tuple(gates))
 
 
-@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6, 7])
+#: (Hadamard kron stride, dense phase budget) settings the engine tests run
+#: under: the bind rules, every target forced onto each Hadamard layout, and
+#: every diagonal forced onto each phase path
+def _layouts(n_q):
+    rule = (engine._KRON_MAX_STRIDE, engine._DENSE_PHASE_BYTES)
+    widest = 2 << n_q
+    return [rule, (0, rule[1]), (widest, rule[1]), (rule[0], 0), (rule[0], math.inf)]
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6, 7, 9])
 def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
     # draw order and the fusion of phase-type runs into one diagonal are
     # invisible to the statistical checks; compare every amplitude against
-    # the dense per-gate reference, with the Hadamard layouts the bind rule
-    # picks (both from n_q = 5) and with every target forced onto each one
+    # the dense per-gate reference, with the layouts and phase paths the
+    # bind rules pick (both Hadamard layouts from n_q = 5, both phase paths
+    # at n_q = 9) and with every op forced onto each one
     rng = np.random.default_rng(40 + n_q)
     params = MapParams(n_q, 5.0)
     programs = [_random_program(n_q, rng) for _ in range(4)]
     programs += [map_program(params), map_program(params).inverse()]
     epsilon = 0.3
-    widest = 2 << n_q
-    for max_stride in (engine._KRON_MAX_STRIDE, 0, widest):  # rule, batched, kron
+    cases = []
+    for seed, program in enumerate(programs):
+        state = random_state(n_q, rng)
+        count = sum(1 if isinstance(g, Hadamard) else 2 for g in program.gates)
+        draws = np.random.default_rng(seed).uniform(-epsilon, epsilon, count)
+        cases.append((seed, program, state, draws, _reference_noisy(program, state.amps, draws)))
+    for max_stride, phase_budget in _layouts(n_q):
         monkeypatch.setattr(engine, "_KRON_MAX_STRIDE", max_stride)
-        for seed, program in enumerate(programs):
-            state = random_state(n_q, rng)
+        monkeypatch.setattr(engine, "_DENSE_PHASE_BYTES", phase_budget)
+        for seed, program, state, draws, expected in cases:
             bound = BoundProgram(program, state.amps.copy())
-            assert bound.draw_count == sum(
-                1 if isinstance(g, Hadamard) else 2
-                for g in program.gates
-            )
-            draws = np.random.default_rng(seed).uniform(-epsilon, epsilon, bound.draw_count)
+            assert bound.draw_count == len(draws)
             bound.apply_noisy(np.random.default_rng(seed), epsilon)
-            expected = _reference_noisy(program, state.amps, draws)
             assert np.abs(bound.amps - expected).max() < 1e-12
+
+
+def test_dense_phase_tables_stop_growing_with_the_register():
+    # an echo task's memory is counted as two registers; the phase and
+    # factor tables that dense diagonals bind beside them are bounded by
+    # the budget, shared with the inverse, and the same at n_q = 12 and 20
+    def tables(n_q):
+        bound = BoundProgram(map_program(MapParams(n_q, 5.0)), np.zeros(1 << n_q, complex))
+        assert bound.inverse()._buffers is bound._buffers
+        phases, factors = bound._buffers[2:]
+        diagonals = len(bound._ops) - 2 * n_q  # all but the Hadamards
+        return phases.nbytes + factors.nbytes, len(bound._phase_ops), diagonals
+
+    # every diagonal is dense up to n_q = 8; from 9 the free rotation and
+    # the kick factorize, and the QFT ladders are dense up to 10 qubits
+    assert tables(8)[1:] == (16, 16)
+    assert tables(9)[1:] == (16, 18)
+    small, large = tables(12), tables(20)
+    assert small[:2] == large[:2] == (24 * 2 * (2**11 - 4), 18)
+    assert small[0] <= engine._DENSE_PHASE_BYTES
 
 
 @pytest.mark.parametrize("n_q", [1, 3, 6])
@@ -218,30 +250,18 @@ def test_odd_op_count_leaves_result_in_callers_buffer(n_q):
     assert np.abs(amps - matrix @ (matrix @ before)).max() < 1e-12
 
 
-def _mirrored_draws(program, draws):
-    """The draws under which program.inverse() undoes program's noisy
-    application: gates reversed, each gate's draws kept in order, and
-    phase-type draws negated (a tilted Hadamard is its own inverse)."""
-    chunks = []
-    pos = 0
-    for gate in program.gates:
-        count = 1 if isinstance(gate, Hadamard) else 2
-        chunk = draws[pos : pos + count]
-        chunks.append(chunk if count == 1 else -chunk)
-        pos += count
-    return np.concatenate(chunks[::-1])
-
-
-@pytest.mark.parametrize("n_q", range(2, 9))
-def test_inverse_with_mirrored_draws_undoes_noisy_program(n_q):
-    # the inverse is bound to the forward program's amps and scratch; fed
-    # the mirrored draws it returns the start exactly, and fed the draws
+@pytest.mark.parametrize("n_q", range(2, 10))
+def test_inverse_with_mirrored_draws_undoes_noisy_program(n_q, monkeypatch):
+    # the inverse is bound to the forward program's buffers; fed the
+    # mirrored draws it returns the start exactly, and fed the draws
     # reversed wholesale (the negative control) it does not; qft_program
     # has an odd op count, so its result is copied back through the scratch
     rng = np.random.default_rng(60 + n_q)
     programs = [map_program(MapParams(n_q, 5.0)), qft_program(n_q)]
     programs += [_random_program(n_q, rng) for _ in range(2)]
-    for program in programs:
+    for (max_stride, phase_budget), program in itertools.product(_layouts(n_q), programs):
+        monkeypatch.setattr(engine, "_KRON_MAX_STRIDE", max_stride)
+        monkeypatch.setattr(engine, "_DENSE_PHASE_BYTES", phase_budget)
         start = random_state(n_q, rng).amps
         amps = start.copy()
         forward = BoundProgram(program, amps)
@@ -250,11 +270,11 @@ def test_inverse_with_mirrored_draws_undoes_noisy_program(n_q):
         assert backward._buffers is forward._buffers
         assert backward.draw_count == forward.draw_count
         draws = rng.uniform(-0.3, 0.3, forward.draw_count)
-        forward._apply(draws)
-        backward._apply(_mirrored_draws(program, draws))
+        forward.apply(draws)
+        backward.apply(forward.mirror(draws))
         assert np.abs(amps - start).max() < 1e-13
-        forward._apply(draws)
-        backward._apply(draws[::-1])
+        forward.apply(draws)
+        backward.apply(draws[::-1])
         assert np.abs(amps - start).max() > 1e-2
 
 
