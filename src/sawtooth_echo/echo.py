@@ -32,6 +32,18 @@ from .state import StateVector
 #: scratch buffer its forward and backward programs share
 TASK_REGISTERS = 2
 
+#: bytes one echo task holds per amplitude: its registers, 16 bytes each,
+#: and the float phase and complex factor table (8 + 16 bytes per entry)
+#: that its factorized diagonals share, which spans the whole register once
+#: the full-register diagonals factorize (from n_q = 9; engine.BoundProgram)
+TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
+
+#: snapshots an echo task gathers before one stacked measure reduction:
+#: 256 bytes of rho_12 each, so at most 256 kB per task whatever R, t_r or
+#: the worker count.  One realization's 2*t_r + 1 snapshots already amortize
+#: the eigh and svd dispatch, so this bounds memory, not speed.
+_MEASURE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class EchoConfig:
@@ -54,12 +66,12 @@ class EchoConfig:
         if not math.isfinite(self.K):
             raise ValueError(f"K must be finite, got {self.K}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # TASK_REGISTERS * 16 bytes * 2**n_q > memory, without forming 2**n_q
-        if self.n_q + 4 >= (memory // TASK_REGISTERS).bit_length():
+        # TASK_BYTES_PER_AMPLITUDE * 2**n_q > memory, without forming 2**n_q
+        if self.n_q >= (memory // TASK_BYTES_PER_AMPLITUDE).bit_length():
             raise ValueError(
                 f"an n_q = {self.n_q} echo task holds {TASK_REGISTERS} registers "
-                f"of 2**{self.n_q + 4} bytes, more than the {memory} bytes of "
-                f"physical memory"
+                f"and its phase tables, {TASK_BYTES_PER_AMPLITUDE} * 2**{self.n_q} "
+                f"bytes, more than the {memory} bytes of physical memory"
             )
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
@@ -123,15 +135,25 @@ def realization_rng(master_seed: int, t_r: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, t_r, r]))
 
 
-def _record_measures(amps: np.ndarray, bell_index: int, out: np.ndarray) -> None:
+def _record_measures(
+    amps: np.ndarray, bell_index: int, rho: np.ndarray, fidelity: np.ndarray, slot: int
+) -> None:
+    """Gather one snapshot into slot of the stacks rho (B, 4, 4) and
+    fidelity (B,): rho_12 of amps and its fidelity with the initial state."""
+    blocks = amps.reshape(4, -1)
+    np.matmul(blocks, blocks.conj().T, out=rho[slot])
     # fidelity against the initial state reduces to the two amplitudes on its
     # support: |<psi0|psi>|^2 = |amps[0] + amps[bell_index]|^2 / 2
-    blocks = amps.reshape(4, -1)
-    rho = blocks @ blocks.conj().T
-    c, out[1] = concurrence_and_entropy(rho)
-    out[0] = eof(c)
     overlap = amps[0] + amps[bell_index]
-    out[2] = 0.5 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
+    fidelity[slot] = 0.5 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
+
+
+def _reduce_measures(rho: np.ndarray, fidelity: np.ndarray, out: np.ndarray) -> None:
+    """Rows (eof, entropy, fidelity) of gathered snapshots: one stacked
+    eigh and one stacked svd for all of them."""
+    c, out[:, 1] = concurrence_and_entropy(rho)
+    out[:, 0] = eof(c)
+    out[:, 2] = fidelity
 
 
 def _bind_echo(n_q: int, K: float, amps: np.ndarray):
@@ -159,6 +181,8 @@ def _echo_block(task) -> np.ndarray:
     task is (config, t_r, first, count, record_trace).  Returns
     (count, steps, 3): steps = 2*t_r + 1 when tracing every iteration, else
     1, the echo time.  Observable columns are (eof, entropy, fidelity).
+    Each snapshot only gathers rho_12 and the fidelity into a stack of at
+    most _MEASURE_BLOCK; the stack is reduced when it is full and at the end.
     """
     config, t_r, first, count, record_trace = task
     first_step = 0 if record_trace else 2 * t_r
@@ -166,12 +190,24 @@ def _echo_block(task) -> np.ndarray:
     forward, backward = _bind_echo(config.n_q, config.K, amps)
     bell_index = 3 << (config.n_q - 2)
     out = np.empty((count, 2 * t_r + 1 - first_step, 3))
+    rows = out.reshape(-1, 3)
+    rho = np.empty((min(_MEASURE_BLOCK, len(rows)), 4, 4), dtype=np.complex128)
+    fidelity = np.empty(len(rho))
+    reduced = slot = 0
     for b in range(count):
         _write_initial_state(amps)
         rng = realization_rng(config.master_seed, t_r, first + b)
         for t in _echo_steps(forward, backward, rng, config.epsilon, t_r):
-            if t >= first_step:
-                _record_measures(amps, bell_index, out[b, t - first_step])
+            if t < first_step:
+                continue
+            _record_measures(amps, bell_index, rho, fidelity, slot)
+            slot += 1
+            if slot == len(rho):
+                _reduce_measures(rho, fidelity, rows[reduced : reduced + slot])
+                reduced += slot
+                slot = 0
+    if slot:
+        _reduce_measures(rho[:slot], fidelity[:slot], rows[reduced:])
     return out
 
 

@@ -18,8 +18,10 @@ iteration has 4*n_q ops).  Each op has one kernel, a function of its
 draws, that writes out of place into the other of two buffers.  A diagonal
 whose phase matrix fits _DENSE_PHASE_BYTES has its phases evaluated by the
 bound program before the ops run: one matmul per such op into one phase
-buffer, then one cos and one sin for all of them into one factor buffer.
-A program's inverse binds to the same buffers (see BoundProgram).  Draws
+buffer, then one cos and one sin for all of them into one factor buffer;
+a larger diagonal evaluates its own phases and factor in a region of the
+same two buffers, so applying a program allocates no table.  A program's
+inverse binds to the same buffers (see BoundProgram).  Draws
 are consumed in program order from the caller's generator, one uniform
 vector per application; the echo protocol passes each realization's own
 stream (echo.realization_rng), so a fixed (master seed, reversal time,
@@ -120,7 +122,7 @@ def _features(m):
     return features, {mono: c for c, mono in enumerate(monomials)}
 
 
-def _bind_dense_diagonal(src, dst, factor, shape):
+def _bind_dense_diagonal(src, dst, phase, factor, shape):
     """A diagonal whose factor exp(i * phase) the bound program writes into
     factor before its ops run: one multiply from src into dst."""
     view = src.reshape(shape)
@@ -143,14 +145,18 @@ def _compile_diagonal(n_q, gates, phase_budget):
     ideal coefficients plus a linear map of the run's draws, one
     coefficient per monomial the run sets.
 
-    Returns (bind, phases).  When the phase matrix P, the monomial columns
-    over the whole table times that linear map, takes at most phase_budget
-    bytes, phases is (P, ideal table), each one product of the monomial
-    columns, and bind(src, dst, factor) binds the multiply by the factor the
-    bound program evaluates.  Otherwise phases is None and bind(src, dst)
-    evaluates the table over a high/low split of the window index as
-    F_high @ C @ F_low^T, where the coefficient matrix C is filled from the
-    draws on every application, so no table-by-draws matrix is ever formed.
+    Returns (bind, entries, phases), where entries = 2**width is the size
+    of the table and bind(src, dst, phase, factor) binds the op to its
+    source and destination buffers and to its phase and factor tables.  When
+    the phase matrix P, the monomial columns over the whole table times that
+    linear map, takes at most phase_budget bytes, phases is (P, ideal
+    table), each one product of the monomial columns, and the op is the
+    multiply by the factor the bound program evaluates.  Otherwise phases is
+    None and the op evaluates its table over a high/low split of the window
+    index as F_high @ C @ F_low^T into phase, and exp(i * phase) into
+    factor, before it multiplies: the coefficient matrix C is filled from
+    the draws on every application, so no table-by-draws matrix is ever
+    formed, and only C and the F_high @ C product are the op's own.
     """
     terms = []  # (qubits, target last; phase)
     for gate in gates:
@@ -193,7 +199,7 @@ def _compile_diagonal(n_q, gates, phase_budget):
         phases = (columns @ weights, columns @ offsets)
         for table in phases:
             table.setflags(write=False)
-        return partial(_bind_dense_diagonal, shape=shape), phases
+        return partial(_bind_dense_diagonal, shape=shape), 1 << width, phases
 
     high = width // 2
     f_high, high_column = _features(high)
@@ -209,35 +215,45 @@ def _compile_diagonal(n_q, gates, phase_budget):
     for table in (f_low_t, weights, slots, offsets):
         table.setflags(write=False)
 
-    def bind(src, dst):
+    def bind(src, dst, phase, factor):
         view = src.reshape(shape)
         out = dst.reshape(shape)
         coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
         flat = coefficients.reshape(-1)
+        high_part = np.empty((f_high.shape[0], f_low.shape[1]))  # F_high @ C
+        phase = phase[: 1 << width]
+        table = phase.reshape(f_high.shape[0], f_low_t.shape[1])
+        factor = factor[: 1 << width]
+        column = factor.reshape(-1, 1)
 
         def diagonal(d):  # out = view * exp(i * F_high @ C @ F_low^T), as a column
             flat[slots] = offsets + weights @ d
-            phase = f_high @ coefficients @ f_low_t
-            factor = np.empty(phase.shape, dtype=np.complex128)
+            np.matmul(f_high, coefficients, out=high_part)
+            np.matmul(high_part, f_low_t, out=table)
             np.cos(phase, out=factor.real)
             np.sin(phase, out=factor.imag)
-            np.multiply(view, factor.reshape(-1, 1), out=out)
+            np.multiply(view, column, out=out)
 
         return diagonal
 
-    return bind, None
+    return bind, 1 << width, None
 
 
 @lru_cache(maxsize=32)
 def _compile(program, phase_budget):
     """The buffer-independent form of a program under a dense-phase budget.
 
-    Returns (ops, phase_ops, ideal):
+    Returns (ops, phase_ops, ideal, entries):
     * ops: per op (bind, draws, table), where draws is the op's slice of the
       draw vector and bind takes the op's (source, destination) buffers,
-      plus its slice table of the factor buffer when table is not None;
+      plus its slice table of the phase and factor buffers when table is
+      not None (a diagonal);
     * phase_ops: per dense diagonal (P, draws, table);
-    * ideal: the dense diagonals' ideal phase tables, end to end.
+    * ideal: the dense diagonals' ideal phase tables, end to end;
+    * entries: the length of the phase and factor buffers.  The dense
+      tables fill the first ideal.size entries; the factorized diagonals
+      run one at a time, so they share the region after them, as long as
+      the largest factorized table.
 
     Cached, because every echo task binds the same forward and backward
     programs to fresh buffers.
@@ -245,7 +261,8 @@ def _compile(program, phase_budget):
     ops = []
     phase_ops = []
     ideal = []
-    draws = entries = 0
+    factorized = []  # index in ops of each factorized diagonal
+    draws = entries = shared = 0
     for is_hadamard, run in groupby(program.gates, lambda g: isinstance(g, Hadamard)):
         if is_hadamard:
             for g in run:
@@ -256,8 +273,10 @@ def _compile(program, phase_budget):
         run = tuple(run)
         span = slice(draws, draws + 2 * len(run))
         draws = span.stop
-        bind, phases = _compile_diagonal(program.n_q, run, phase_budget)
+        bind, size, phases = _compile_diagonal(program.n_q, run, phase_budget)
         if phases is None:
+            factorized.append(len(ops))
+            shared = max(shared, size)
             ops.append((bind, span, None))
             continue
         matrix, table = phases
@@ -266,9 +285,12 @@ def _compile(program, phase_budget):
         ops.append((bind, span, rows))
         phase_ops.append((matrix, span, rows))
         ideal.append(table)
+    tail = slice(entries, entries + shared)
+    for i in factorized:
+        ops[i] = (*ops[i][:2], tail)
     ideal = np.concatenate([np.zeros(0), *ideal])
     ideal.setflags(write=False)
-    return tuple(ops), tuple(phase_ops), ideal
+    return tuple(ops), tuple(phase_ops), ideal, tail.stop
 
 
 class BoundProgram:
@@ -286,10 +308,14 @@ class BoundProgram:
     gives it a slice of one phase buffer and of one complex factor buffer,
     and apply() fills both before the ops run (one matmul per dense op, then
     one add of the ideal tables, one cos and one sin), so the op itself is
-    one multiply.  The two tables hold 24 bytes per dense table entry, so
-    their size follows the dense ops the budget admits, not the register;
-    they hold nothing between applications.  inverse() binds to the same
-    amps, scratch, phase and factor buffers.
+    one multiply.  The factorized diagonals share one region after the
+    dense slices, as long as the largest of their tables, and fill it
+    themselves; so no op allocates a table when it runs.  The two buffers
+    hold 24 bytes per entry: the dense part follows the dense ops the budget
+    admits, not the register, and the shared part is the largest factorized
+    window (the whole register from n_q = 9 in a map iteration).  They hold
+    nothing between applications.  inverse() binds to the same amps,
+    scratch, phase and factor buffers.
 
     Compilation is done once per program and binding takes every view once,
     so repeated applications (thousands per echo experiment) do only
@@ -298,7 +324,8 @@ class BoundProgram:
     """
 
     __slots__ = (
-        "amps", "draw_count", "_program", "_buffers", "_ops", "_phase_ops", "_ideal", "_result"
+        "amps", "draw_count", "_program", "_buffers", "_ops", "_phase_ops", "_ideal", "_dense",
+        "_result",
     )
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
@@ -308,12 +335,12 @@ class BoundProgram:
             or not amps.flags.c_contiguous
         ):
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
-        entries = _compile(program, _DENSE_PHASE_BYTES)[2].size
+        entries = _compile(program, _DENSE_PHASE_BYTES)[3]
         tables = (np.empty(entries), np.empty(entries, dtype=np.complex128))
         self._bind(program, (amps, np.empty_like(amps)) + tables)
 
     def _bind(self, program, buffers):
-        ops, phase_ops, self._ideal = _compile(program, _DENSE_PHASE_BYTES)
+        ops, phase_ops, self._ideal, _ = _compile(program, _DENSE_PHASE_BYTES)
         self.amps = buffers[0]
         self._program = program
         self._buffers = buffers  # (amps, scratch, phases, factors)
@@ -321,9 +348,10 @@ class BoundProgram:
         self._ops = []
         for i, (bind, draws, table) in enumerate(ops):
             src, dst = buffers[i % 2], buffers[1 - i % 2]
-            kernel = bind(src, dst) if table is None else bind(src, dst, factors[table])
-            self._ops.append((kernel, draws))
+            tables = () if table is None else (phases[table], factors[table])
+            self._ops.append((bind(src, dst, *tables), draws))
         self._phase_ops = [(matrix, draws, phases[table]) for matrix, draws, table in phase_ops]
+        self._dense = (phases[: self._ideal.size], factors[: self._ideal.size])
         self.draw_count = ops[-1][1].stop if ops else 0
         self._result = buffers[len(ops) % 2]
 
@@ -354,7 +382,7 @@ class BoundProgram:
         order: one per Hadamard tilt, (d0, d1) per phase-type gate."""
         if draws.shape != (self.draw_count,):
             raise ValueError(f"expected {self.draw_count} draws, got shape {draws.shape}")
-        phases, factors = self._buffers[2:]
+        phases, factors = self._dense
         for matrix, span, phase in self._phase_ops:
             np.matmul(matrix, draws[span], out=phase)
         np.add(phases, self._ideal, out=phases)

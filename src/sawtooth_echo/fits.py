@@ -21,13 +21,20 @@ class UnresolvedThreshold(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit: its parameters, the root-mean-square residual, the points
+    used and, for a regression, the standard error of its slope."""
+
     kind: str
     params: dict
     residual: float
     n_points: int
+    slope_stderr: float | None = None
 
 
 def _ols(x, y):
+    """Least-squares line through at least 3 points: (slope, intercept,
+    rms residual, slope standard error s / sqrt(sum (x - mean x)^2) with
+    s^2 = RSS / (n - 2))."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = x - x.mean()
@@ -37,7 +44,13 @@ def _ols(x, y):
     slope = float((dx * (y - y.mean())).sum()) / denom
     intercept = float(y.mean()) - slope * float(x.mean())
     resid = y - (slope * x + intercept)
-    return slope, intercept, float(math.sqrt(float((resid * resid).mean())))
+    rss = float((resid * resid).sum())
+    return (
+        slope,
+        intercept,
+        float(math.sqrt(float((resid * resid).mean()))),
+        math.sqrt(rss / (x.size - 2) / denom),
+    )
 
 
 def threshold_time(curve, c: float = 0.9) -> FitResult:
@@ -72,14 +85,12 @@ def threshold_time(curve, c: float = 0.9) -> FitResult:
 
 def _log_linear(points, floor: float, requirement: str):
     """Regress ln y on t over the (t, y) points with y above floor; returns
-    (slope, intercept, residual, points used)."""
+    (slope, intercept, residual, slope standard error, points used)."""
     usable = [(float(t), float(y)) for t, y in points if float(y) > floor]
     if len(usable) < 3:
         raise ValueError(f"{requirement}, got {len(usable)}")
-    slope, intercept, resid = _ols(
-        [t for t, _ in usable], [math.log(y) for _, y in usable]
-    )
-    return slope, intercept, resid, len(usable)
+    fit = _ols([t for t, _ in usable], [math.log(y) for _, y in usable])
+    return (*fit, len(usable))
 
 
 def entropy_rate(curve, s_inf: float) -> FitResult:
@@ -88,7 +99,7 @@ def entropy_rate(curve, s_inf: float) -> FitResult:
     Gamma comes from regressing ln(s_inf - S_mean) on t_e over points more
     than 0.01 below saturation (points at or above s_inf drop out with them).
     """
-    slope, intercept, resid, n_points = _log_linear(
+    slope, intercept, resid, stderr, n_points = _log_linear(
         ((t, s_inf - float(s)) for t, s in curve),
         ENTROPY_FIT_WINDOW,
         f"entropy fit needs >= 3 points below s_inf - {ENTROPY_FIT_WINDOW}",
@@ -98,12 +109,13 @@ def entropy_rate(curve, s_inf: float) -> FitResult:
         params={"gamma": -slope, "s_inf": s_inf, "log_intercept": intercept},
         residual=resid,
         n_points=n_points,
+        slope_stderr=stderr,
     )
 
 
 def fidelity_rate(curve) -> FitResult:
     """Decay rate of ln f_mean vs t_e above the saturation floor near 1/N."""
-    slope, intercept, resid, n_points = _log_linear(
+    slope, intercept, resid, stderr, n_points = _log_linear(
         curve,
         FIDELITY_FIT_FLOOR,
         f"fidelity fit needs >= 3 points above {FIDELITY_FIT_FLOOR}",
@@ -113,6 +125,7 @@ def fidelity_rate(curve) -> FitResult:
         params={"rate": -slope, "log_intercept": intercept},
         residual=resid,
         n_points=n_points,
+        slope_stderr=stderr,
     )
 
 
@@ -125,10 +138,11 @@ def power_law_fit(points) -> FitResult:
         raise ValueError("power-law fit needs strictly positive data")
     lx = [math.log10(x) for x, _ in data]
     ly = [math.log10(y) for _, y in data]
-    slope, intercept, resid = _ols(lx, ly)
+    slope, intercept, resid, stderr = _ols(lx, ly)
     return FitResult(
         kind="power_law",
         params={"exponent": slope, "amplitude": 10.0**intercept},
         residual=resid,
         n_points=len(data),
+        slope_stderr=stderr,
     )

@@ -156,6 +156,7 @@ def _fit_to_dict(fit: FitResult) -> dict:
         "amplitude": fit.params["amplitude"],
         "residual": fit.residual,
         "n_points": fit.n_points,
+        "exponent_stderr": fit.slope_stderr,
     }
 
 

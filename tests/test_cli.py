@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sawtooth_echo import cli, scaling
-from sawtooth_echo.echo import TASK_REGISTERS, EchoConfig, run_trace
+from sawtooth_echo.echo import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS, EchoConfig, run_trace
 from sawtooth_echo.measures import ergodic_entropy_reference
 from sawtooth_echo.output import (
     CURVE_HEADER,
@@ -219,11 +219,12 @@ def test_register_too_large_exits_one(tmp_path, capsys, threads):
 
 
 def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
-    # physical memory of 2 MiB holds the TASK_REGISTERS registers of
-    # 16 * 2**n_q bytes an echo task needs up to n_q = 16 (two registers)
+    # physical memory of 2 MiB holds what an echo task needs per amplitude,
+    # its TASK_REGISTERS registers of 16 bytes and the 24 bytes of its
+    # shared phase and factor table, up to n_q = 15
     memory = 2 << 20
-    fits = max(n for n in range(1, 30) if TASK_REGISTERS * (16 << n) <= memory)
-    assert (TASK_REGISTERS, fits) == (2, 16)
+    fits = max(n for n in range(1, 30) if TASK_BYTES_PER_AMPLITUDE << n <= memory)
+    assert (TASK_REGISTERS, TASK_BYTES_PER_AMPLITUDE, fits) == (2, 56, 15)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert EchoConfig(n_q=fits, epsilon=0.01, t_r=1).n_q == fits
@@ -427,6 +428,7 @@ def test_scaling_from_csv_skips_non_positive_ordinates(tmp_path):
     gamma_fit = summary["fits"]["gamma_vs_epsilon"]["6"]
     assert gamma_fit["n_points"] == 3
     assert gamma_fit["exponent"] == pytest.approx(2.0, abs=1e-6)
+    assert 0.0 <= gamma_fit["exponent_stderr"] < 1e-6  # an exact power law
     assert summary["fits"]["t_e_star_vs_epsilon"]["6"]["n_points"] == 4
 
 

@@ -19,7 +19,7 @@ from sawtooth_echo import (
     von_neumann_entropy,
 )
 from sawtooth_echo import echo
-from sawtooth_echo.echo import _record_measures
+from sawtooth_echo.echo import _record_measures, _reduce_measures
 
 
 def test_initial_state_two_qubits():
@@ -42,9 +42,10 @@ def test_initial_state_measures():
     rho = partial_trace_12(state)
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
-    measures = np.empty(3)
-    _record_measures(state.amps, 3 << (4 - 2), measures)  # |1100> carries the pair
-    eof, entropy, fidelity = measures
+    rho, fidelities, measures = np.empty((1, 4, 4), complex), np.empty(1), np.empty((1, 3))
+    _record_measures(state.amps, 3 << (4 - 2), rho, fidelities, 0)  # |1100> carries the pair
+    _reduce_measures(rho, fidelities, measures)
+    eof, entropy, fidelity = measures[0]
     assert eof == pytest.approx(1.0, abs=1e-12)
     assert entropy == pytest.approx(0.0, abs=1e-12)
     assert fidelity == pytest.approx(1.0, abs=1e-12)
@@ -206,14 +207,43 @@ def test_curve_records_independent_of_chunking():
     assert one[0][0] == two[0][1]
 
 
+def test_trace_records_independent_of_chunking():
+    # 14 realizations of 11 snapshots: at 2 and 3 workers the chunks, and so
+    # the stacks each task reduces, hold different realizations
+    config = dict(n_q=3, epsilon=0.03, t_r=5, realizations=14, master_seed=12)
+    runs = [run_trace(EchoConfig(**config, workers=w)) for w in (1, 2, 3)]
+    assert len(runs[0]) == 11
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_trace_records_independent_of_measure_block(monkeypatch):
+    # a block that fills mid-realization, several times per task, and
+    # leaves a partial stack at the end reduces to the same records
+    config = EchoConfig(n_q=4, epsilon=0.02, t_r=3, realizations=5, master_seed=3, workers=1)
+    expected = run_trace(config)
+    reductions = []
+    reduce_measures = echo._reduce_measures
+
+    def counting_reduce(rho, *rest):
+        reductions.append(len(rho))
+        reduce_measures(rho, *rest)
+
+    monkeypatch.setattr(echo, "_reduce_measures", counting_reduce)
+    monkeypatch.setattr(echo, "_MEASURE_BLOCK", 5)
+    assert run_trace(config) == expected
+    # four tasks of 2, 1, 1 and 1 realizations of 7 snapshots each
+    assert reductions == [5, 5, 4] + [5, 2] * 3
+
+
 def test_one_eigendecomposition_per_snapshot(monkeypatch):
-    # concurrence and entropy share one eigh of rho_12 per snapshot
+    # concurrence and entropy share one eigh of rho_12, and every snapshot
+    # is decomposed exactly once, in the stacks its task reduces
     calls = []
     eigh = np.linalg.eigh
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
 
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("the snapshot path must not call eigvalsh")
@@ -225,7 +255,8 @@ def test_one_eigendecomposition_per_snapshot(monkeypatch):
         EchoConfig(n_q=4, epsilon=0.02, t_r=t_r, realizations=count, master_seed=2, workers=1)
     )
     assert len(records) == 2 * t_r + 1
-    assert len(calls) == count * (2 * t_r + 1)
+    assert sum(calls) == count * (2 * t_r + 1)
+    assert len(calls) == 4  # one stack per task: 5 realizations in 4 chunks
 
 
 def test_t_r_zero_trace():

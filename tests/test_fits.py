@@ -153,3 +153,36 @@ def test_fit_result_reports_points_and_residual():
     assert fit.n_points == 20
     assert fit.residual > 0
     assert fit.params["exponent"] == pytest.approx(-1.5, abs=0.05)
+
+
+def test_slope_stderr_matches_textbook_formula():
+    # s / sqrt(sum (x - mean x)^2) with s^2 = RSS / (n - 2), evaluated by
+    # hand against the fitted line of every regression kind
+    rng = np.random.default_rng(4)
+    x = np.linspace(1.0, 30.0, 25)
+    log_y = -0.07 * x + 0.3 + rng.normal(0.0, 0.05, x.size)
+
+    def textbook(u, v):
+        slope, intercept = np.polyfit(u, v, 1)
+        rss = float(((v - (slope * u + intercept)) ** 2).sum())
+        return math.sqrt(rss / (u.size - 2)) / math.sqrt(float(((u - u.mean()) ** 2).sum()))
+
+    expected = textbook(x, log_y)
+    assert expected > 0.0
+    fit = fidelity_rate(list(zip(x, np.exp(log_y))))
+    assert fit.slope_stderr == pytest.approx(expected, rel=1e-9)
+    s_inf = 1.5
+    fit = entropy_rate(list(zip(x, s_inf - np.exp(log_y))), s_inf)
+    assert fit.slope_stderr == pytest.approx(expected, rel=1e-6)  # ln(exp(.)) round trip
+    lx = np.linspace(-1.0, 1.0, 12)
+    ly = -2.0 * lx + 0.5 + rng.normal(0.0, 0.02, lx.size)
+    fit = power_law_fit(list(zip(10.0**lx, 10.0**ly)))
+    assert fit.slope_stderr == pytest.approx(textbook(lx, ly), rel=1e-9)
+    assert threshold_time([(0, 1.0), (2, 0.8)], c=0.9).slope_stderr is None
+
+
+def test_slope_stderr_vanishes_on_an_exact_line():
+    fit = power_law_fit([(x, 2.0 * x**-2) for x in (0.5, 1.0, 2.0, 4.0, 8.0)])
+    assert fit.slope_stderr == pytest.approx(0.0, abs=1e-12)
+    fit = fidelity_rate([(t, math.exp(-0.06 * t)) for t in range(1, 30)])
+    assert fit.slope_stderr == pytest.approx(0.0, abs=1e-12)

@@ -22,6 +22,7 @@ from sawtooth_echo import (
     werner_state,
 )
 from sawtooth_echo.engine import BoundProgram
+from sawtooth_echo.measures import EIGENVALUE_CLAMP, concurrence_and_entropy
 
 SY_SY = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
@@ -98,6 +99,65 @@ def test_concurrence_rejects_broken_input():
     bad[0, 1] = 0.3  # grossly non-Hermitian
     with pytest.raises(ValueError):
         concurrence(bad)
+
+
+def _stack_of_states(rng):
+    """Random mixed states of every rank, Werner states, the Bell state and
+    product states, in one (n, 4, 4) stack."""
+    mixed = [random_mixed_density(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
+    werner = [werner_state(float(p)) for p in np.linspace(0.0, 1.0, 9)]
+    products = []
+    for _ in range(6):
+        a, b = random_mixed_density(rng)[:2, :2], random_mixed_density(rng)[:2, :2]
+        products.append(np.kron(a / np.trace(a), b / np.trace(b)))
+    return np.array(mixed + werner + [bell_density()] + products)
+
+
+def test_stacked_measures_match_each_batch_of_one():
+    # each row of a stack is bit-identical to the same matrix alone, so the
+    # echo's block reduction records what one matrix at a time would
+    stack = _stack_of_states(np.random.default_rng(25))
+    c, s = concurrence_and_entropy(stack)
+    assert c.shape == s.shape == (len(stack),)
+    for i, rho in enumerate(stack):
+        c_one, s_one = concurrence_and_entropy(rho[None])
+        assert c[i] == c_one[0] == concurrence(rho)
+        assert s[i] == s_one[0] == von_neumann_entropy(rho)
+    # any leading shape, and the empty stack
+    c_grid, s_grid = concurrence_and_entropy(stack[:24].reshape(4, 6, 4, 4))
+    np.testing.assert_array_equal(c_grid.ravel(), c[:24])
+    np.testing.assert_array_equal(s_grid.ravel(), s[:24])
+    assert [v.shape for v in concurrence_and_entropy(np.empty((0, 4, 4)))] == [(0,), (0,)]
+    with pytest.raises(ValueError):
+        concurrence_and_entropy(np.eye(3))
+
+
+@pytest.mark.parametrize("index", [0, 7, -1])
+def test_one_bad_row_anywhere_rejects_the_stack(index):
+    stack = _stack_of_states(np.random.default_rng(26))
+    concurrence_and_entropy(stack)  # the clean stack passes
+    non_hermitian = stack.copy()
+    non_hermitian[index, 0, 1] += 0.3
+    with pytest.raises(ValueError, match="Hermitian"):
+        concurrence_and_entropy(non_hermitian)
+    negative = stack.copy()
+    negative[index] = np.diag([1.0 + 10 * EIGENVALUE_CLAMP, -10 * EIGENVALUE_CLAMP, 0.0, 0.0])
+    with pytest.raises(ValueError, match="eigenvalue"):
+        concurrence_and_entropy(negative)
+    # within the clamp, round-off passes
+    negative[index] = np.diag([1.0 + EIGENVALUE_CLAMP / 2, -EIGENVALUE_CLAMP / 2, 0.0, 0.0])
+    concurrence_and_entropy(negative)
+
+
+def test_eof_on_arrays():
+    grid = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_array_equal(eof(grid), [eof(float(c)) for c in grid])
+    assert eof(grid.reshape(101, 1)).shape == (101, 1)
+    for bad in (1.5, -0.1, np.nan):
+        values = grid.copy()
+        values[37] = bad
+        with pytest.raises(ValueError, match="concurrence"):
+            eof(values)
 
 
 def test_eof_fixtures():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,12 @@ from sawtooth_echo import (
     dft_matrix,
     fidelity,
     gates_per_iteration,
+    initial_state,
     map_program,
     qft_program,
     realization_rng,
 )
-from sawtooth_echo import engine
+from sawtooth_echo import echo, engine
 from sawtooth_echo.engine import BoundProgram
 
 
@@ -213,23 +215,46 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
 
 
 def test_dense_phase_tables_stop_growing_with_the_register():
-    # an echo task's memory is counted as two registers; the phase and
-    # factor tables that dense diagonals bind beside them are bounded by
-    # the budget, shared with the inverse, and the same at n_q = 12 and 20
+    # the phase and factor tables that dense diagonals bind are bounded by
+    # the budget, shared with the inverse, and the same at n_q = 12 and 20;
+    # the factorized diagonals share one region after them, as long as the
+    # largest factorized table, which TASK_BYTES_PER_AMPLITUDE counts
     def tables(n_q):
         bound = BoundProgram(map_program(MapParams(n_q, 5.0)), np.zeros(1 << n_q, complex))
         assert bound.inverse()._buffers is bound._buffers
         phases, factors = bound._buffers[2:]
+        assert phases.size == factors.size
+        dense = bound._ideal.size
         diagonals = len(bound._ops) - 2 * n_q  # all but the Hadamards
-        return phases.nbytes + factors.nbytes, len(bound._phase_ops), diagonals
+        return 24 * dense, len(bound._phase_ops), diagonals, phases.size - dense
 
     # every diagonal is dense up to n_q = 8; from 9 the free rotation and
     # the kick factorize, and the QFT ladders are dense up to 10 qubits
-    assert tables(8)[1:] == (16, 16)
-    assert tables(9)[1:] == (16, 18)
+    assert tables(8)[1:] == (16, 16, 0)
+    assert tables(9)[1:] == (16, 18, 2**9)
     small, large = tables(12), tables(20)
     assert small[:2] == large[:2] == (24 * 2 * (2**11 - 4), 18)
     assert small[0] <= engine._DENSE_PHASE_BYTES
+    assert (small[3], large[3]) == (2**12, 2**20)
+    assert 24 * 2**20 == (echo.TASK_BYTES_PER_AMPLITUDE - 16 * echo.TASK_REGISTERS) << 20
+
+
+def test_noisy_iteration_allocates_no_table():
+    # the factorized diagonals evaluate their tables in the bound buffers:
+    # one noisy n_q = 16 iteration allocates no table-sized temporary (a
+    # register is 1 MiB, its phase table 512 kB); numpy's own ufunc buffer,
+    # at most getbufsize() entries of 16 bytes, is the only larger block
+    n_q = 16
+    bound = BoundProgram(map_program(MapParams(n_q, 5.0)), initial_state(n_q).amps)
+    rng = np.random.default_rng(5)
+    bound.apply_noisy(rng, 0.01)
+    tracemalloc.start()
+    try:
+        bound.apply_noisy(rng, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 + 16 * np.getbufsize()
 
 
 @pytest.mark.parametrize("n_q", [1, 3, 6])

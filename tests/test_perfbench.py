@@ -4,6 +4,7 @@ The tracer wraps sawtooth_echo names by attribute, so renaming or deleting
 one of them breaks traced benchmark runs; this test catches that here.
 """
 
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,10 @@ def run_child(*args):
 
 
 COMMON = ["--realizations", 4, "--seed", 1, "--threads", 2]
+#: measures.snapshot spans each command records: R * (2 t_r + 1) for the
+#: trace, R per grid point for a curve, over every (n_q, epsilon) point
+SNAPSHOTS = {"trace": 4 * 5, "echo-curve": 4 * 2, "scaling": 2 * 4 * 4}
+
 COMMANDS = {  # command: (CLI arguments before --out, --refit mode, output file)
     "trace": (["trace", "--nq", 3, "--tr", 2, "--epsilon", 0.01, *COMMON], "forward", "csv"),
     "echo-curve": (
@@ -61,7 +66,18 @@ def test_traced_child_run_matches_untraced(tmp_path, command):
     )
     assert traced.returncode == 0, traced.stderr
     assert (trace_dir / "cli.pkl").is_file()
-    assert list(trace_dir.glob("task-*.pkl"))
+    tasks = []
+    for path in trace_dir.glob("task-*.pkl"):
+        with open(path, "rb") as f:
+            tasks.append(pickle.load(f))
+    assert tasks
+    # the benchmark's count check and norm-drift metric rest on one
+    # echo._record_measures call per snapshot with the register first
+    snapshots = sum(
+        list(task["name"]).count(task["names"].index("measures.snapshot")) for task in tasks
+    )
+    assert snapshots == SNAPSHOTS[command]
+    assert max(task["norm_drift_max"] for task in tasks) <= 1e-10
     untraced = run_child("--", *cli_args, "--out", untraced_out)
     assert untraced.returncode == 0, untraced.stderr
     expected = outputs(untraced_out)
