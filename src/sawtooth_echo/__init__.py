@@ -5,6 +5,7 @@ extraction of their decay laws."""
 __version__ = "0.1.0"
 
 from .echo import EchoConfig, EchoRecord, initial_state, realization_rng, run_echo_curve, run_trace
+from .echo import StateVector, fidelity, partial_trace_12
 from .engine import BoundProgram, apply_program
 from .fits import (
     FitResult,
@@ -43,6 +44,5 @@ from .program import (
     quadratic_phase_program,
 )
 from .scaling import ScalingConfig, analyze_curve, run_scaling, summarize_curves, summarize_points
-from .state import StateVector, fidelity, partial_trace_12
 
 __all__ = [name for name in dir() if not name.startswith("_")]

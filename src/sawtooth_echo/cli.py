@@ -205,9 +205,6 @@ def build_parser() -> _Parser:
     scaling.set_defaults(handler=cmd_scaling)
 
     verify = commands.add_parser("verify", help="run the built-in oracle suite")
-    verify.add_argument(
-        "--flip-kick-sign", action="store_true", help=argparse.SUPPRESS
-    )
     verify.set_defaults(handler=cmd_verify)
     return parser
 
@@ -300,7 +297,8 @@ def cmd_run(args) -> int:
 
 
 def _load_curves(paths):
-    curves = []
+    """(n_q, epsilon, records) of each echo-curve CSV; each grid point once."""
+    curves = {}  # (n_q, epsilon) -> (CSV path, records)
     for csv_path in paths:
         manifest_path = manifest_path_for(csv_path)
         manifest = load_manifest(manifest_path)
@@ -308,8 +306,13 @@ def _load_curves(paths):
             raise UsageError(f"{csv_path}: manifest is not an echo-curve record")
         n_q = _manifest_entry(manifest, manifest_path, "n_q")
         epsilon = _manifest_entry(manifest, manifest_path, "epsilon")
-        curves.append((n_q, epsilon, read_records_csv(csv_path)))
-    return curves
+        if (n_q, epsilon) in curves:
+            raise UsageError(
+                f"{curves[n_q, epsilon][0]} and {csv_path} both record "
+                f"n_q = {n_q}, epsilon = {epsilon!r}"
+            )
+        curves[n_q, epsilon] = csv_path, read_records_csv(csv_path)
+    return [(n_q, epsilon, records) for (n_q, epsilon), (_, records) in curves.items()]
 
 
 def cmd_scaling(args) -> int:
@@ -372,7 +375,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = run_checks(flip_kick_sign=args.flip_kick_sign)
+    checks = run_checks()
     failed = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

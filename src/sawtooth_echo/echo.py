@@ -10,6 +10,13 @@ Every (reversal time, realization) pair draws from its own stream,
 realization_rng(master_seed, t_r, realization), so individual realizations
 are reproducible, grid points are uncorrelated, and results do not depend
 on how work is split across processes.
+
+A register is a C-contiguous complex128 array of 2**n_q amplitudes, which
+the engine mutates in place.  Qubit 1 is the most significant bit of the
+basis index, so |a1 a2 ... an> sits at index a1*2**(n-1) + ... + an, and the
+reduced density matrix of qubits 1 and 2 is one reshape-and-matmul over
+contiguous blocks of N/4 amplitudes.  StateVector wraps a register for the
+public initial_state, partial_trace_12 and fidelity.
 """
 
 import math
@@ -19,24 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BoundProgram
+from .engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS, BoundProgram
 # concurrence and von_neumann_entropy stay bound here because
 # perfbench/tracer.py wraps echo.concurrence, echo.eof and
 # echo.von_neumann_entropy by name
 from .measures import concurrence, concurrence_and_entropy, eof, von_neumann_entropy  # noqa: F401
 from .program import MapParams, map_program
-from .state import StateVector
-
-
-#: amplitude registers one echo task holds: the evolving buffer and the
-#: scratch buffer its forward and backward programs share
-TASK_REGISTERS = 2
-
-#: bytes one echo task holds per amplitude: its registers, 16 bytes each,
-#: and the float phase and complex factor table (8 + 16 bytes per entry)
-#: that its factorized diagonals share, which spans the whole register once
-#: the full-register diagonals factorize (from n_q = 9; engine.BoundProgram)
-TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
 
 #: snapshots an echo task gathers before one stacked measure reduction:
 #: 256 bytes of rho_12 each, so at most 256 kB per task whatever R, t_r or
@@ -114,6 +109,24 @@ class EchoRecord:
     f_std: float
 
 
+class StateVector:
+    """Amplitudes of an n_q-qubit register, as initial_state returns them."""
+
+    __slots__ = ("n_q", "amps")
+
+    def __init__(self, n_q: int, amps: np.ndarray):
+        amps = np.asarray(amps, dtype=np.complex128)
+        if n_q < 1 or amps.shape != (1 << n_q,):
+            raise ValueError(
+                f"need n_q >= 1 and 2**n_q amplitudes, got n_q={n_q} and shape {amps.shape}"
+            )
+        self.n_q = n_q
+        self.amps = amps
+
+    def copy(self) -> "StateVector":
+        return StateVector(self.n_q, self.amps.copy())
+
+
 def initial_state(n_q: int) -> StateVector:
     """(|00> + |11>)/sqrt(2) on qubits 1, 2 tensored with |0...0>."""
     if n_q < 2:
@@ -123,10 +136,35 @@ def initial_state(n_q: int) -> StateVector:
     return StateVector(n_q, amps)
 
 
+def _bell_index(amps: np.ndarray) -> int:
+    """Where the Bell pair's second amplitude, |11 0...0>, sits: 3 * N/4."""
+    return 3 * amps.size // 4
+
+
 def _write_initial_state(amps: np.ndarray) -> None:
-    # the Bell pair's second amplitude, |11 0...0>, sits at 3 * N/4
     amps.fill(0.0)
-    amps[0] = amps[3 * amps.size // 4] = math.sqrt(0.5)
+    amps[0] = amps[_bell_index(amps)] = math.sqrt(0.5)
+
+
+def _rho_12(amps: np.ndarray, out=None) -> np.ndarray:
+    """rho[a, b] = sum_r psi[a*N/4 + r] * conj(psi[b*N/4 + r]), into out if
+    given; for n_q = 2 this is the pure-state outer product."""
+    blocks = amps.reshape(4, -1)
+    return np.matmul(blocks, blocks.conj().T, out=out)
+
+
+def partial_trace_12(state: StateVector) -> np.ndarray:
+    """Reduced 4x4 density matrix of qubits 1 and 2."""
+    if state.n_q < 2:
+        raise ValueError("partial trace over qubits 3..n_q needs n_q >= 2")
+    return _rho_12(state.amps)
+
+
+def fidelity(state: StateVector, reference: StateVector) -> float:
+    """Squared overlap |<reference|state>|^2."""
+    if state.n_q != reference.n_q:
+        raise ValueError(f"qubit counts differ: {state.n_q} vs {reference.n_q}")
+    return float(abs(np.vdot(reference.amps, state.amps)) ** 2)
 
 
 def realization_rng(master_seed: int, t_r: int, r: int) -> np.random.Generator:
@@ -135,30 +173,29 @@ def realization_rng(master_seed: int, t_r: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, t_r, r]))
 
 
-def _record_measures(
-    amps: np.ndarray, bell_index: int, rho: np.ndarray, fidelity: np.ndarray, slot: int
-) -> None:
+def _record_measures(amps: np.ndarray, rho: np.ndarray, fidelities: np.ndarray, slot: int) -> None:
     """Gather one snapshot into slot of the stacks rho (B, 4, 4) and
-    fidelity (B,): rho_12 of amps and its fidelity with the initial state."""
-    blocks = amps.reshape(4, -1)
-    np.matmul(blocks, blocks.conj().T, out=rho[slot])
+    fidelities (B,): rho_12 of amps and its fidelity with the initial state."""
+    _rho_12(amps, out=rho[slot])
     # fidelity against the initial state reduces to the two amplitudes on its
-    # support: |<psi0|psi>|^2 = |amps[0] + amps[bell_index]|^2 / 2
-    overlap = amps[0] + amps[bell_index]
-    fidelity[slot] = 0.5 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
+    # support: |<psi0|psi>|^2 = |amps[0] + amps[3N/4]|^2 / 2
+    overlap = amps[0] + amps[_bell_index(amps)]
+    fidelities[slot] = 0.5 * (overlap.real * overlap.real + overlap.imag * overlap.imag)
 
 
-def _reduce_measures(rho: np.ndarray, fidelity: np.ndarray, out: np.ndarray) -> None:
+def _reduce_measures(rho: np.ndarray, fidelities: np.ndarray, out: np.ndarray) -> None:
     """Rows (eof, entropy, fidelity) of gathered snapshots: one stacked
     eigh and one stacked svd for all of them."""
     c, out[:, 1] = concurrence_and_entropy(rho)
     out[:, 0] = eof(c)
-    out[:, 2] = fidelity
+    out[:, 2] = fidelities
 
 
-def _bind_echo(n_q: int, K: float, amps: np.ndarray):
-    """The forward map iteration and its inverse, bound to amps and one
-    shared scratch buffer: the two halves of an echo never overlap."""
+def _bind_echo(n_q: int, K: float):
+    """The forward map iteration and its inverse, bound to one new register
+    (forward.amps) and one shared scratch buffer: the two halves of an echo
+    never overlap."""
+    amps = np.empty(1 << n_q, dtype=np.complex128)
     forward = BoundProgram(map_program(MapParams(n_q, K)), amps)
     return forward, forward.inverse()
 
@@ -186,13 +223,12 @@ def _echo_block(task) -> np.ndarray:
     """
     config, t_r, first, count, record_trace = task
     first_step = 0 if record_trace else 2 * t_r
-    amps = np.empty(1 << config.n_q, dtype=np.complex128)
-    forward, backward = _bind_echo(config.n_q, config.K, amps)
-    bell_index = 3 << (config.n_q - 2)
+    forward, backward = _bind_echo(config.n_q, config.K)
+    amps = forward.amps
     out = np.empty((count, 2 * t_r + 1 - first_step, 3))
     rows = out.reshape(-1, 3)
     rho = np.empty((min(_MEASURE_BLOCK, len(rows)), 4, 4), dtype=np.complex128)
-    fidelity = np.empty(len(rho))
+    fidelities = np.empty(len(rho))
     reduced = slot = 0
     for b in range(count):
         _write_initial_state(amps)
@@ -200,14 +236,14 @@ def _echo_block(task) -> np.ndarray:
         for t in _echo_steps(forward, backward, rng, config.epsilon, t_r):
             if t < first_step:
                 continue
-            _record_measures(amps, bell_index, rho, fidelity, slot)
+            _record_measures(amps, rho, fidelities, slot)
             slot += 1
             if slot == len(rho):
-                _reduce_measures(rho, fidelity, rows[reduced : reduced + slot])
+                _reduce_measures(rho, fidelities, rows[reduced : reduced + slot])
                 reduced += slot
                 slot = 0
     if slot:
-        _reduce_measures(rho[:slot], fidelity[:slot], rows[reduced:])
+        _reduce_measures(rho[:slot], fidelities[:slot], rows[reduced:])
     return out
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
-from .state import StateVector
 
 
 #: Targets whose block stride L = 2 * 2**(n_q - t) floats is at most this
@@ -57,6 +56,17 @@ _KRON_MAX_STRIDE = 16
 #: up to a 10-qubit window at any n_q.  So the dense tables a map iteration
 #: binds stop growing at n_q = 10.
 _DENSE_PHASE_BYTES = 256 * 1024
+
+#: amplitude registers a bound program and its inverse hold between them:
+#: the buffer they evolve and the scratch buffer their ops write into
+TASK_REGISTERS = 2
+
+#: bytes a bound program and its inverse hold per amplitude: their
+#: registers, 16 bytes each, and the float phase and complex factor table
+#: (8 + 16 bytes per entry) that the factorized diagonals share, which spans
+#: the whole register once the full-register diagonals of a map iteration
+#: factorize (from n_q = 9); the dense tables stop growing at n_q = 10
+TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
 
 
 def _bind_hadamard(src, dst, n_q, target):
@@ -403,9 +413,7 @@ class BoundProgram:
         self.apply(rng.uniform(-epsilon, epsilon, self.draw_count))
 
 
-def apply_program(program: GateProgram, state: StateVector) -> StateVector:
-    """Apply the ideal program (zero draws) in place."""
-    if program.n_q != state.n_q:
-        raise ValueError("program and state have different qubit counts")
-    BoundProgram(program, state.amps).apply_ideal()
-    return state
+def apply_program(program: GateProgram, amps: np.ndarray) -> np.ndarray:
+    """Apply the ideal program (zero draws) to amps in place and return it."""
+    BoundProgram(program, amps).apply_ideal()
+    return amps

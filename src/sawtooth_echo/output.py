@@ -7,6 +7,7 @@ Files are UTF-8 with LF line endings.
 """
 
 import json
+import math
 from dataclasses import astuple
 from pathlib import Path
 
@@ -34,7 +35,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_records_csv(path) -> list:
-    """Read a trace or echo-curve CSV back into records."""
+    """Read a trace or echo-curve CSV back into records; every value must
+    be finite."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
@@ -46,7 +48,10 @@ def read_records_csv(path) -> list:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: malformed row {line!r}")
-        records.append(EchoRecord(int(cells[0]), *(float(c) for c in cells[1:])))
+        values = [float(c) for c in cells[1:]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: non-finite value in row {line!r}")
+        records.append(EchoRecord(int(cells[0]), *values))
     return records
 
 

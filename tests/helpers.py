@@ -13,6 +13,11 @@ def random_state(n_q: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n_q, amps / np.linalg.norm(amps))
 
 
+def norm_drift(amps: np.ndarray) -> float:
+    """|  ||amps||^2 - 1 |, the accumulated unitarity drift."""
+    return abs(float(np.vdot(amps, amps).real) - 1.0)
+
+
 def basis_state(n_q: int, index: int) -> StateVector:
     amps = np.zeros(1 << n_q, dtype=np.complex128)
     amps[index] = 1.0

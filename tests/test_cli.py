@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sawtooth_echo import cli, scaling
-from sawtooth_echo.echo import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS, EchoConfig, run_trace
+from sawtooth_echo.echo import EchoConfig, run_trace
+from sawtooth_echo.engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS
 from sawtooth_echo.measures import ergodic_entropy_reference
 from sawtooth_echo.output import (
     CURVE_HEADER,
@@ -21,6 +22,7 @@ from sawtooth_echo.output import (
     write_csv,
     write_manifest,
 )
+from sawtooth_echo.verify import check_map_program_matches_oracle
 
 
 def run_cli(*args):
@@ -343,10 +345,16 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_negative_control(capsys):
-    assert run_cli("verify", "--flip-kick-sign") == 2
+def test_verify_negative_control(capsys, monkeypatch):
+    # the oracle check fails on the program built at the flipped kick
+    # K = -5, and verify reports a failing check and exits 2
+    flipped = check_map_program_matches_oracle(-5.0)
+    assert not flipped.passed
+    monkeypatch.setattr(cli, "run_checks", lambda: [flipped])
+    assert run_cli("verify") == 2
     out = capsys.readouterr().out
     assert "[FAIL] map-program-vs-dense-oracle" in out
+    assert "1 of 1 checks failed" in out
 
 
 def synth_curve_files(tmp_path, n_q, epsilon, t_star, gamma, rate):
@@ -430,6 +438,43 @@ def test_scaling_from_csv_skips_non_positive_ordinates(tmp_path):
     assert gamma_fit["exponent"] == pytest.approx(2.0, abs=1e-6)
     assert 0.0 <= gamma_fit["exponent_stderr"] < 1e-6  # an exact power law
     assert summary["fits"]["t_e_star_vs_epsilon"]["6"]["n_points"] == 4
+
+
+@pytest.mark.parametrize("column, value", [("f_mean", "inf"), ("E_mean", "nan")])
+def test_scaling_from_csv_refuses_non_finite_cells(tmp_path, capsys, column, value):
+    # an infinite f_mean would fit a NaN rate into the summary, and a NaN
+    # E_mean would be skipped by the threshold search
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    lines = csv_path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[CURVE_HEADER.index(column)] = value
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{csv_path}: non-finite value in row {lines[5]!r}" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="non-finite"):
+        read_records_csv(csv_path)
+
+
+def test_scaling_from_csv_refuses_a_repeated_point(tmp_path, capsys):
+    # a second curve at the same (n_q, epsilon) would enter every fit twice
+    paths = [
+        synth_curve_files(tmp_path, n_q=6, epsilon=eps, t_star=20.0, gamma=0.05, rate=0.012)
+        for eps in (0.02, 0.04)
+    ]
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(paths[0].read_bytes())
+    manifest_path_for(copy).write_bytes(manifest_path_for(paths[0]).read_bytes())
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", *paths, copy, "--out", out) == 1
+    assert f"{paths[0]} and {copy} both record n_q = 6, epsilon = 0.02" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("scaling", "--from-csv", *paths, "--out", out) == 0
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from helpers import norm_drift, random_state
 from sawtooth_echo import (
     EchoConfig,
     EchoRecord,
     ScalingConfig,
     concurrence,
+    fidelity,
     initial_state,
     partial_trace_12,
     run_echo_curve,
@@ -34,7 +36,7 @@ def test_initial_state_support():
     nonzero = np.nonzero(state.amps)[0]
     np.testing.assert_array_equal(nonzero, [0, 24])  # |00000> and |11000>
     assert state.amps[0] == pytest.approx(1 / math.sqrt(2))
-    assert state.norm_error() < 1e-15
+    assert norm_drift(state.amps) < 1e-15
 
 
 def test_initial_state_measures():
@@ -43,7 +45,7 @@ def test_initial_state_measures():
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
     rho, fidelities, measures = np.empty((1, 4, 4), complex), np.empty(1), np.empty((1, 3))
-    _record_measures(state.amps, 3 << (4 - 2), rho, fidelities, 0)  # |1100> carries the pair
+    _record_measures(state.amps, rho, fidelities, 0)
     _reduce_measures(rho, fidelities, measures)
     eof, entropy, fidelity = measures[0]
     assert eof == pytest.approx(1.0, abs=1e-12)
@@ -51,6 +53,18 @@ def test_initial_state_measures():
     assert fidelity == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         initial_state(1)
+
+
+@pytest.mark.parametrize("n_q", range(2, 9))
+def test_snapshot_gather_matches_public_reductions(n_q):
+    # the echo path's rho_12 is partial_trace_12's to the bit, and its
+    # two-amplitude fidelity is the full overlap with the initial state
+    state = random_state(n_q, np.random.default_rng(50 + n_q))
+    rho, fidelities = np.zeros((n_q + 1, 4, 4), complex), np.zeros(n_q + 1)
+    _record_measures(state.amps, rho, fidelities, n_q)
+    np.testing.assert_array_equal(rho[n_q], partial_trace_12(state))
+    assert abs(fidelities[n_q] - fidelity(state, initial_state(n_q))) <= 1e-14
+    assert not rho[:n_q].any() and not fidelities[:n_q].any()
 
 
 @pytest.mark.parametrize("n_q", [4, 7, 10])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_single_qubit, random_state, tilted_hadamard
+from helpers import dense_single_qubit, norm_drift, random_state, tilted_hadamard
 from sawtooth_echo import (
     ControlledPhase,
     GateProgram,
@@ -28,7 +28,7 @@ from sawtooth_echo import (
     qft_program,
     realization_rng,
 )
-from sawtooth_echo import echo, engine
+from sawtooth_echo import engine
 from sawtooth_echo.engine import BoundProgram
 
 
@@ -37,7 +37,7 @@ def test_zero_noise_reproduces_ideal_bit_for_bit():
     program = map_program(MapParams(5, 5.0))
     ideal = random_state(5, rng)
     noisy = ideal.copy()
-    apply_program(program, ideal)
+    apply_program(program, ideal.amps)
     BoundProgram(program, noisy.amps).apply_noisy(realization_rng(3, 0, 0), 0.0)
     np.testing.assert_array_equal(noisy.amps, ideal.amps)
 
@@ -91,7 +91,7 @@ def test_noisy_gates_preserve_norm():
     bound = BoundProgram(program, state.amps)
     for _ in range(125):  # > 1e4 noisy gates
         bound.apply_noisy(rng, 0.08)
-    assert state.norm_error() < 1e-10
+    assert norm_drift(state.amps) < 1e-10
 
 
 def test_single_noisy_iteration_fidelity_bound():
@@ -106,7 +106,7 @@ def test_single_noisy_iteration_fidelity_bound():
     for r in range(draws):
         state = random_state(n_q, rng)
         reference = state.copy()
-        apply_program(program, reference)
+        apply_program(program, reference.amps)
         BoundProgram(program, state.amps).apply_noisy(realization_rng(17, 0, r), epsilon)
         total += fidelity(state, reference)
     mean_fidelity = total / draws
@@ -136,7 +136,7 @@ def test_noisy_controlled_phase_leaves_control_zero_block():
             state.amps[control_bit == 0], before[control_bit == 0]
         )
         assert np.abs(state.amps[control_bit == 1] - before[control_bit == 1]).max() > 1e-3
-        assert state.norm_error() < 1e-12
+        assert norm_drift(state.amps) < 1e-12
 
 
 def _reference_noisy(program, amps, draws):
@@ -218,7 +218,7 @@ def test_dense_phase_tables_stop_growing_with_the_register():
     # the phase and factor tables that dense diagonals bind are bounded by
     # the budget, shared with the inverse, and the same at n_q = 12 and 20;
     # the factorized diagonals share one region after them, as long as the
-    # largest factorized table, which TASK_BYTES_PER_AMPLITUDE counts
+    # largest factorized table, which engine.TASK_BYTES_PER_AMPLITUDE counts
     def tables(n_q):
         bound = BoundProgram(map_program(MapParams(n_q, 5.0)), np.zeros(1 << n_q, complex))
         assert bound.inverse()._buffers is bound._buffers
@@ -236,7 +236,7 @@ def test_dense_phase_tables_stop_growing_with_the_register():
     assert small[:2] == large[:2] == (24 * 2 * (2**11 - 4), 18)
     assert small[0] <= engine._DENSE_PHASE_BYTES
     assert (small[3], large[3]) == (2**12, 2**20)
-    assert 24 * 2**20 == (echo.TASK_BYTES_PER_AMPLITUDE - 16 * echo.TASK_REGISTERS) << 20
+    assert 24 * 2**20 == (engine.TASK_BYTES_PER_AMPLITUDE - 16 * engine.TASK_REGISTERS) << 20
 
 
 def test_noisy_iteration_allocates_no_table():

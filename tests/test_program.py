@@ -93,8 +93,8 @@ def test_qft_roundtrip_on_random_states():
     for _ in range(5):
         state = random_state(6, rng)
         before = state.amps.copy()
-        apply_program(forward, state)
-        apply_program(backward, state)
+        apply_program(forward, state.amps)
+        apply_program(backward, state.amps)
         assert np.abs(state.amps - before).max() < 1e-12
 
 
@@ -139,8 +139,8 @@ def test_forward_backward_is_identity():
         backward = forward.inverse()
         state = random_state(n_q, rng)
         before = state.amps.copy()
-        apply_program(forward, state)
-        apply_program(backward, state)
+        apply_program(forward, state.amps)
+        apply_program(backward, state.amps)
         assert np.abs(state.amps - before).max() < 1e-11
 
 
