@@ -341,10 +341,12 @@ def cmd_scaling(args) -> int:
             K=args.K,
             workers=args.threads,
         )
-        curves_dir = args.curves_dir or args.out.parent / (args.out.stem + "_curves")
-        curves_dir.mkdir(parents=True, exist_ok=True)
+        if args.curves_dir is None:  # the default '<stem>_curves' creates --out's directory
+            args.out.parent.mkdir(parents=True, exist_ok=True)
         if not args.out.parent.is_dir():  # fail before the simulation, not after it
             raise FileNotFoundError(f"output directory {args.out.parent} does not exist")
+        curves_dir = args.curves_dir or args.out.parent / (args.out.stem + "_curves")
+        curves_dir.mkdir(parents=True, exist_ok=True)
         summary, curves = run_scaling(config)
         curve_files = []
         for point, (n_q, epsilon, records) in zip(config.echo_configs, curves):

@@ -35,8 +35,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_records_csv(path) -> list:
-    """Read a trace or echo-curve CSV back into records; every value must
-    be finite."""
+    """Read a trace or echo-curve CSV back into records; every time must be
+    an integer and every value a finite number, or the ValueError names the
+    file and the row."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
@@ -48,10 +49,13 @@ def read_records_csv(path) -> list:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: malformed row {line!r}")
-        values = [float(c) for c in cells[1:]]
+        try:
+            t, values = int(cells[0]), [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable value in row {line!r}: {exc}") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: non-finite value in row {line!r}")
-        records.append(EchoRecord(int(cells[0]), *values))
+        records.append(EchoRecord(t, *values))
     return records
 
 

@@ -14,10 +14,9 @@ only up to an O(1) factor.
 import math
 from dataclasses import dataclass, field
 
-from .echo import EchoConfig, run_echo_curve
+from .echo import EchoConfig, EchoRecord, run_echo_curve
 from .fits import (
     FitResult,
-    UnresolvedThreshold,
     entropy_rate,
     fidelity_rate,
     power_law_fit,
@@ -34,6 +33,12 @@ REFERENCE_B = 2.34
 DEFAULT_T_R_GRID = (
     1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22, 26, 30, 36, 42, 50, 60, 75, 90,
 )
+
+
+def _check_threshold(c: float) -> None:
+    """Refuse an echo threshold outside (0, 1), NaN included."""
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"threshold c must lie in (0, 1), got {c}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,7 @@ class ScalingConfig:
         for name, values in (("n_q", self.nq_list), ("epsilon", self.epsilon_list)):
             if len(set(values)) < len(values):
                 raise ValueError(f"scaling lists a repeated {name}: {values}")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"threshold c must lie in (0, 1), got {self.c}")
+        _check_threshold(self.c)
         echo_configs = tuple(
             EchoConfig(
                 n_q=n_q,
@@ -83,63 +87,47 @@ class ScalingConfig:
         object.__setattr__(self, "echo_configs", echo_configs)
 
 
-@dataclass
-class ScalingPoint:
-    """Fitted quantities of one (n_q, epsilon) grid point."""
+def analyze_curve(n_q: int, epsilon: float, records, c: float) -> dict:
+    """Reduce one echo curve to the summary's point: t_e*, Gamma, the
+    fidelity rate and the constants they give, with a note for each
+    quantity that cannot be fitted.
 
-    n_q: int
-    epsilon: float
-    n_g: int
-    t_e_star: float | None = None
-    gamma: float | None = None
-    fidelity_decay_rate: float | None = None
-    c_hat: float | None = None
-    gamma_over_fidelity_rate: float | None = None
-    notes: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_q": self.n_q,
-            "epsilon": self.epsilon,
-            "n_g_per_iteration": self.n_g,
-            "t_e_star": self.t_e_star,
-            "gamma": self.gamma,
-            "fidelity_decay_rate": self.fidelity_decay_rate,
-            "C_hat": self.c_hat,
-            "gamma_over_fidelity_rate": self.gamma_over_fidelity_rate,
-            "notes": list(self.notes),
-        }
-
-
-def analyze_curve(n_q: int, epsilon: float, records, c: float) -> ScalingPoint:
-    """Reduce one echo curve to (t_e*, Gamma, fidelity rate).
-
-    The exact zero-iteration anchor (t_e=0: E=1, S=0, f=1) is prepended, so
-    thresholds crossed before the first simulated grid point still resolve.
+    Unless the curve starts at t_e=0, the exact zero-iteration anchor
+    (E=1, S=0, f=1) is prepended, so thresholds crossed before the first
+    simulated grid point still resolve.
     """
-    point = ScalingPoint(n_q=n_q, epsilon=epsilon, n_g=gates_per_iteration(n_q))
-    anchor = [] if records and records[0].t == 0 else [0.0]
-    curve_e = [(0.0, 1.0) for _ in anchor] + [(r.t, r.e_mean) for r in records]
-    curve_s = [(0.0, 0.0) for _ in anchor] + [(r.t, r.s_mean) for r in records]
-    curve_f = [(0.0, 1.0) for _ in anchor] + [(r.t, r.f_mean) for r in records]
+    if not records or records[0].t != 0:
+        records = [EchoRecord(0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0), *records]
+    point = {
+        "n_q": n_q,
+        "epsilon": epsilon,
+        "n_g_per_iteration": gates_per_iteration(n_q),
+        "t_e_star": None,
+        "gamma": None,
+        "fidelity_decay_rate": None,
+        "C_hat": None,
+        "gamma_over_fidelity_rate": None,
+        "notes": [],
+    }
     try:
-        point.t_e_star = threshold_time(curve_e, c).params["t_e_star"]
-    except (UnresolvedThreshold, ValueError) as exc:
-        point.notes.append(f"threshold: {exc}")
-    s_inf = ergodic_entropy_reference(1 << n_q)
-    try:
-        point.gamma = entropy_rate(curve_s, s_inf).params["gamma"]
+        fit = threshold_time([(r.t, r.e_mean) for r in records], c)
+        point["t_e_star"] = fit.params["t_e_star"]
     except ValueError as exc:
-        point.notes.append(f"entropy rate: {exc}")
+        point["notes"].append(f"threshold: {exc}")
     try:
-        rate = fidelity_rate(curve_f).params["rate"]
-        point.fidelity_decay_rate = rate
+        s_inf = ergodic_entropy_reference(1 << n_q)
+        point["gamma"] = entropy_rate([(r.t, r.s_mean) for r in records], s_inf).params["gamma"]
+    except ValueError as exc:
+        point["notes"].append(f"entropy rate: {exc}")
+    try:
+        rate = fidelity_rate([(r.t, r.f_mean) for r in records]).params["rate"]
+        point["fidelity_decay_rate"] = rate
         if epsilon > 0.0:
-            point.c_hat = rate / (epsilon**2 * point.n_g)
-        if point.gamma is not None and rate > 0.0:
-            point.gamma_over_fidelity_rate = point.gamma / rate
+            point["C_hat"] = rate / (epsilon**2 * point["n_g_per_iteration"])
+        if point["gamma"] is not None and rate > 0.0:
+            point["gamma_over_fidelity_rate"] = point["gamma"] / rate
     except ValueError as exc:
-        point.notes.append(f"fidelity rate: {exc}")
+        point["notes"].append(f"fidelity rate: {exc}")
     return point
 
 
@@ -176,27 +164,28 @@ _POWER_LAWS = (
 
 
 def summarize_points(points, c: float) -> dict:
-    """Power-law fits and pooled constants over a set of grid points."""
+    """Power-law fits and pooled constants over grid points, as
+    analyze_curve returns them or a saved summary lists them."""
     fits: dict = {}
     for key, group, x, y in _POWER_LAWS:
         fits[key] = {}
-        for value in sorted({getattr(p, group) for p in points}):
-            pairs = [(getattr(p, x), getattr(p, y)) for p in points if getattr(p, group) == value]
+        for value in sorted({p[group] for p in points}):
+            pairs = [(p[x], p[y]) for p in points if p[group] == value]
             # power_law_fit's domain: both coordinates strictly positive
             data = [(u, v) for u, v in pairs if v is not None and u > 0.0 and v > 0.0]
             if len(data) >= 3:
                 fits[key][str(value)] = _fit_to_dict(power_law_fit(data))
     a_hat = _geometric_mean(
-        p.t_e_star * p.n_q**2 * p.epsilon**2
+        p["t_e_star"] * p["n_q"] ** 2 * p["epsilon"] ** 2
         for p in points
-        if p.t_e_star is not None and p.epsilon > 0.0
+        if p["t_e_star"] is not None and p["epsilon"] > 0.0
     )
     b_hat = _geometric_mean(
-        p.gamma / (p.epsilon**2 * p.n_q**2)
+        p["gamma"] / (p["epsilon"] ** 2 * p["n_q"] ** 2)
         for p in points
-        if p.gamma is not None and p.epsilon > 0.0
+        if p["gamma"] is not None and p["epsilon"] > 0.0
     )
-    c_hat = _geometric_mean(p.c_hat for p in points)
+    c_hat = _geometric_mean(p["C_hat"] for p in points)
     constants = {
         "A_hat": a_hat,
         "A_reference": REFERENCE_A,
@@ -207,13 +196,13 @@ def summarize_points(points, c: float) -> dict:
         "C_hat": c_hat,
     }
     excluded = [
-        {"n_q": p.n_q, "epsilon": p.epsilon, "notes": list(p.notes)}
+        {"n_q": p["n_q"], "epsilon": p["epsilon"], "notes": p["notes"]}
         for p in points
-        if p.notes
+        if p["notes"]
     ]
     return {
         "c": c,
-        "points": [p.as_dict() for p in points],
+        "points": points,
         "fits": fits,
         "constants": constants,
         "excluded": excluded,
@@ -231,8 +220,9 @@ def run_scaling(config: ScalingConfig):
     return summarize_curves(curves, config.c), curves
 
 
-def summarize_curves(curves, c: float = 0.9) -> dict:
+def summarize_curves(curves, c: float) -> dict:
     """Fit echo curves, simulated or replayed from CSV files."""
+    _check_threshold(c)
     points = [
         analyze_curve(n_q, epsilon, records, c) for n_q, epsilon, records in curves
     ]

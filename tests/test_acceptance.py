@@ -195,21 +195,7 @@ def test_criterion_7_constants_best_effort(epsilon_sweep, nq_sweep):
     # pooled constants over both sweeps; a factor-2 miss is acceptable per
     # the criterion as long as the discrepancy factor is reported in the
     # scaling summaries
-    from sawtooth_echo.scaling import ScalingPoint
-
-    points = [
-        ScalingPoint(
-            n_q=p["n_q"],
-            epsilon=p["epsilon"],
-            n_g=p["n_g_per_iteration"],
-            t_e_star=p["t_e_star"],
-            gamma=p["gamma"],
-            fidelity_decay_rate=p["fidelity_decay_rate"],
-            c_hat=p["C_hat"],
-        )
-        for p in epsilon_sweep["points"] + nq_sweep["points"]
-    ]
-    pooled = summarize_points(points, c=0.9)["constants"]
+    pooled = summarize_points(epsilon_sweep["points"] + nq_sweep["points"], c=0.9)["constants"]
     a_factor = pooled["A_discrepancy_factor"]
     b_factor = pooled["B_discrepancy_factor"]
     within = a_factor is not None and b_factor is not None and a_factor <= 2 and b_factor <= 2

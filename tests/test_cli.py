@@ -205,7 +205,11 @@ def test_non_finite_parameters_exit_one(tmp_path, capsys, value):
     assert run_cli(*scaling, "--epsilon-list", f"0.01,{value}") == 1
     assert run_cli(*scaling, "--epsilon-list", "0.01", "--K", value) == 1
     assert run_cli(*scaling, "--epsilon-list", "0.01", "--c", value) == 1
-    assert not out.exists()
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    assert run_cli("scaling", "--from-csv", csv_path, "--c", value, "--out", scaling[-1]) == 1
+    assert not out.exists() and not scaling[-1].exists()
     assert "error:" in capsys.readouterr().err
 
 
@@ -461,6 +465,59 @@ def test_scaling_from_csv_refuses_non_finite_cells(tmp_path, capsys, column, val
         read_records_csv(csv_path)
 
 
+@pytest.mark.parametrize("column, value", [("E_mean", "abc"), ("t_e", "2.5")])
+def test_scaling_from_csv_names_an_unreadable_cell(tmp_path, capsys, column, value):
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    lines = csv_path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[CURVE_HEADER.index(column)] = value
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
+    assert f"{csv_path}: unreadable value in row {lines[5]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", [1.5, 1.0, 0.0, -0.5])
+def test_scaling_threshold_outside_unit_interval_exits_one(tmp_path, capsys, monkeypatch, c):
+    # both paths refuse c before they simulate or fit anything
+    calls = []
+    monkeypatch.setattr(scaling, "run_echo_curve", lambda config: calls.append(config) or [])
+    monkeypatch.setattr(scaling, "analyze_curve", lambda *args: calls.append(args))
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    out = tmp_path / "summary.json"
+    simulate = ("scaling", "--nq-list", "3", "--epsilon-list", "0.01", "--tr-grid", "1,2")
+    assert run_cli(*simulate, "--c", c, "--out", out) == 1
+    assert run_cli("scaling", "--from-csv", csv_path, "--c", c, "--out", out) == 1
+    assert capsys.readouterr().err.count(f"threshold c must lie in (0, 1), got {c}") == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_scaling_two_qubit_point_notes_its_entropy_rate(tmp_path):
+    # the ergodic entropy reference needs N >= 8, so an n_q = 2 point has no
+    # Gamma; it is noted like any other unfittable quantity on both paths
+    out = tmp_path / "s.json"
+    code = run_cli(
+        "scaling", "--nq-list", 2, "--epsilon-list", "0.03", "--tr-grid", "1..30",
+        "--realizations", 4, "--seed", 1, "--threads", 1, "--out", out,
+    )
+    assert code == 0
+    summary = json.loads(out.read_text())
+    replay_out = tmp_path / "replay.json"
+    assert run_cli("scaling", "--from-csv", *summary["curve_files"], "--out", replay_out) == 0
+    replay = json.loads(replay_out.read_text())
+    for point in (summary["points"][0], replay["points"][0]):
+        assert point["gamma"] is None and point["gamma_over_fidelity_rate"] is None
+        assert "entropy rate: reference needs N >= 8, got 4" in point["notes"]
+    assert replay["points"] == summary["points"]
+
+
 def test_scaling_from_csv_refuses_a_repeated_point(tmp_path, capsys):
     # a second curve at the same (n_q, epsilon) would enter every fit twice
     paths = [
@@ -512,7 +569,7 @@ def test_scaling_missing_out_dir_exits_three_before_simulating(tmp_path):
     curves_dir = tmp_path / "curves"
     out = tmp_path / "missing" / "s.json"
     assert run_cli(*scaling_args, "--curves-dir", curves_dir, "--out", out) == 3
-    assert list(curves_dir.glob("*")) == []
+    assert not curves_dir.exists()
     assert not out.parent.exists()
     # without --curves-dir the derived '<stem>_curves' directory creates
     # the summary's directory
@@ -539,4 +596,5 @@ def test_scaling_simulation_writes_curves_and_summary(tmp_path):
     replay_out = tmp_path / "replay.json"
     assert run_cli("scaling", "--from-csv", curve_file, "--out", replay_out) == 0
     replay = json.loads(replay_out.read_text())
-    assert replay["points"] == summary["points"]
+    for key in ("points", "fits", "constants"):
+        assert replay[key] == summary[key]

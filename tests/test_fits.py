@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from sawtooth_echo import (
+    EchoRecord,
     UnresolvedThreshold,
+    analyze_curve,
     entropy_rate,
+    ergodic_entropy_reference,
     fidelity_rate,
+    gates_per_iteration,
     power_law_fit,
     threshold_time,
 )
@@ -186,3 +190,36 @@ def test_slope_stderr_vanishes_on_an_exact_line():
     assert fit.slope_stderr == pytest.approx(0.0, abs=1e-12)
     fit = fidelity_rate([(t, math.exp(-0.06 * t)) for t in range(1, 30)])
     assert fit.slope_stderr == pytest.approx(0.0, abs=1e-12)
+
+
+def test_analyze_curve_returns_the_summary_point():
+    # E falls linearly from 0.98 and crosses c = 0.9 between t = 6 and 8,
+    # S = s_inf (1 - exp(-Gamma t)) and f = exp(-rate t) exactly
+    n_q, epsilon, gamma, rate = 6, 0.02, 0.05, 0.012
+    s_inf = ergodic_entropy_reference(1 << n_q)
+    records = [
+        EchoRecord(
+            t, 0.98 - 0.013 * t, 0.0, s_inf * (1.0 - math.exp(-gamma * t)), 0.0,
+            math.exp(-rate * t), 0.0,
+        )
+        for t in range(0, 42, 2)
+    ]
+    point = analyze_curve(n_q, epsilon, records, c=0.9)
+    assert set(point) == {
+        "n_q", "epsilon", "n_g_per_iteration", "t_e_star", "gamma",
+        "fidelity_decay_rate", "C_hat", "gamma_over_fidelity_rate", "notes",
+    }
+    assert (point["n_q"], point["epsilon"], point["notes"]) == (n_q, epsilon, [])
+    assert point["n_g_per_iteration"] == gates_per_iteration(n_q) == 84
+    # a curve that starts at t = 0 gets no anchor: the crossing is the
+    # interpolation between its own t = 6 and t = 8 points
+    e6, e8 = records[3].e_mean, records[4].e_mean
+    assert point["t_e_star"] == pytest.approx(6.0 + 2.0 * (e6 - 0.9) / (e6 - e8), abs=1e-12)
+    assert point["gamma"] == pytest.approx(gamma, abs=1e-12)
+    assert point["fidelity_decay_rate"] == pytest.approx(rate, abs=1e-12)
+    assert point["C_hat"] == point["fidelity_decay_rate"] / (epsilon**2 * 84)
+    assert point["gamma_over_fidelity_rate"] == point["gamma"] / point["fidelity_decay_rate"]
+    # without a t = 0 record the exact anchor (E = 1) is prepended, so a
+    # crossing before the first grid point still resolves
+    early = analyze_curve(n_q, epsilon, [EchoRecord(2, 0.85, 0, 0, 0, 1, 0)], c=0.9)
+    assert early["t_e_star"] == pytest.approx(2.0 * 0.1 / 0.15, abs=1e-12)
