@@ -61,6 +61,16 @@ def _int_tuple(value):
     return tuple(_json_int(t) for t in value)
 
 
+def _file_name(value) -> str:
+    """A bare file name, as _base_manifest records it: a replay writes
+    beside its manifest, never elsewhere."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a file name, got {value!r}")
+    if value in ("", "..") or Path(value).name != value:
+        raise ValueError("expected a bare file name, with no directory part")
+    return value
+
+
 #: the EchoConfig fields a manifest records, each with its JSON reader
 _MANIFEST_FIELDS = {
     "n_q": _json_int,
@@ -233,6 +243,15 @@ def _base_manifest(command: str, config: EchoConfig, csv_path: Path) -> dict:
     return manifest
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that cannot be written, before any simulation or
+    directory creation: an existing directory, or a missing parent."""
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
+
+
 def _manifest_entry(manifest: dict, path: Path, key: str, read=None):
     """manifest[key] through read (by default the key's EchoConfig reader);
     a missing, null or unreadable entry is a UsageError that names it."""
@@ -267,9 +286,8 @@ def cmd_run(args) -> int:
             if key != other_grid_key
         }
         config = EchoConfig(**fields, workers=args.threads)
-        out = args.out or args.from_manifest.parent / _manifest_entry(
-            manifest, args.from_manifest, "csv", Path
-        )
+        csv_name = _manifest_entry(manifest, args.from_manifest, "csv", _file_name)
+        out = args.out or args.from_manifest.parent / csv_name
     else:
         required = ["nq", "tr", "epsilon", "out"] if trace else ["nq", "epsilon", "out"]
         _require(args, required)
@@ -284,8 +302,7 @@ def cmd_run(args) -> int:
             workers=args.threads,
         )
         out = args.out
-    if not out.parent.is_dir():  # fail before the simulation, not after it
-        raise FileNotFoundError(f"output directory {out.parent} does not exist")
+    _check_out(out)
     if trace:
         records, header = run_trace(config), TRACE_HEADER
     else:
@@ -324,6 +341,7 @@ def cmd_scaling(args) -> int:
                 f"{', '.join(dict.fromkeys(args.fixed_flags))}; "
                 f"only --c and --out may be given with it"
             )
+        _check_out(args.out)
         summary = summarize_curves(_load_curves(args.from_csv), c=args.c)
         summary["source"] = [str(p) for p in args.from_csv]
         curve_files = None
@@ -343,8 +361,7 @@ def cmd_scaling(args) -> int:
         )
         if args.curves_dir is None:  # the default '<stem>_curves' creates --out's directory
             args.out.parent.mkdir(parents=True, exist_ok=True)
-        if not args.out.parent.is_dir():  # fail before the simulation, not after it
-            raise FileNotFoundError(f"output directory {args.out.parent} does not exist")
+        _check_out(args.out)
         curves_dir = args.curves_dir or args.out.parent / (args.out.stem + "_curves")
         curves_dir.mkdir(parents=True, exist_ok=True)
         summary, curves = run_scaling(config)

@@ -40,6 +40,14 @@ from .program import MapParams, map_program
 _MEASURE_BLOCK = 1024
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class EchoConfig:
     """Parameters of one echo experiment (trace or echo-curve mode)."""
@@ -88,11 +96,7 @@ class EchoConfig:
 
     def resolved_workers(self) -> int:
         """The worker count, by default the CPUs this process may run on."""
-        if self.workers is not None:
-            return self.workers
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return self.workers if self.workers is not None else _cpus()
 
 
 @dataclass(frozen=True)
@@ -248,27 +252,18 @@ def _echo_block(task) -> np.ndarray:
 
 
 def _scatter(tasks, workers):
-    """Run tasks (expensive first) and return results in task order.
+    """Run tasks, the last one first, and return their results in task order.
 
-    Aggregation downstream folds realizations in index order, so the result
-    is independent of scheduling.
+    _run lists tasks in increasing t_r, so the longest start first.  The pool
+    has at most one process per worker, per task and per CPU: a fork pool
+    starts all of them at once.  Aggregation downstream folds realizations in
+    index order, so the result is independent of scheduling.
     """
-    results = [None] * len(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        for i, task in enumerate(tasks):
-            results[i] = _echo_block(task)
-        return results
-
-    def cost(i):  # realizations times the 2*t_r + 1 steps of each
-        _, t_r, _, count, _ = tasks[i]
-        return count * (2 * t_r + 1)
-
-    order = sorted(range(len(tasks)), key=cost, reverse=True)
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = {i: pool.submit(_echo_block, tasks[i]) for i in order}
-        for i, future in futures.items():
-            results[i] = future.result()
-    return results
+    processes = min(workers, len(tasks), _cpus())
+    if processes <= 1:
+        return [_echo_block(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(_echo_block, tasks[::-1]))[::-1]
 
 
 def _chunk_ranges(total: int, workers: int, points: int):

@@ -161,7 +161,7 @@ def quadratic_phase_program(n_q: int, coefficient: float, shift: float = 0.0) ->
 def free_rotation_program(n_q: int) -> GateProgram:
     """Free-rotation diagonal exp(-i*(pi/N)*(j + 1/2)^2) over the
     half-integer momentum grid (the generic quadratic with shift -1/2)."""
-    return quadratic_phase_program(n_q, -math.pi / (1 << n_q), shift=-0.5)
+    return quadratic_phase_program(n_q, -MapParams(n_q).free_coefficient, shift=-0.5)
 
 
 def qft_program(n_q: int) -> GateProgram:

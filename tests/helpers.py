@@ -1,7 +1,9 @@
 """Shared test utilities: random and basis states, dense gate
-constructions and the ergodic-register concurrence check."""
+constructions, the ergodic-register concurrence check and a stand-in
+process pool."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -82,3 +84,33 @@ def dense_phase_shift(n_q: int, target: int, phase: float) -> np.ndarray:
         if (j >> (n_q - target)) & 1:
             diag[j] = np.exp(1j * phase)
     return np.diag(diag)
+
+
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor that runs every task inline, so no
+    process starts.  Patch it in as the executor class: each construction
+    records its max_workers in sizes and returns this one pool, and submitted
+    holds each task's arguments in submission order."""
+
+    def __init__(self):
+        self.sizes = []
+        self.submitted = []
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, *iterables):
+        return [self.submit(fn, *args).result() for args in zip(*iterables)]

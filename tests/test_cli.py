@@ -293,6 +293,29 @@ def test_manifest_missing_key_exits_one(tmp_path, capsys, key):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("absolute", [False, True], ids=["parent-relative", "absolute"])
+def test_manifest_csv_entry_must_be_a_bare_file_name(tmp_path, capsys, monkeypatch, absolute):
+    # a replay writes beside its manifest; a csv entry with a directory part
+    # would write the CSV and its manifest elsewhere, over whatever is there
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "run.csv"
+    assert run_cli(*trace_args(out)) == 0
+    capsys.readouterr()
+    escaped = tmp_path / "escaped.csv"
+    entry = str(escaped) if absolute else "../escaped.csv"
+    broken = runs / "broken.manifest.json"
+    write_manifest(broken, {**load_manifest(manifest_path_for(out)), "csv": entry})
+    calls = []
+    monkeypatch.setattr(cli, "run_trace", lambda config: calls.append(config) or [])
+    assert run_cli("trace", "--from-manifest", broken) == 1
+    err = capsys.readouterr().err
+    assert "'csv'" in err and repr(entry) in err
+    assert calls == []
+    assert not escaped.exists()
+    assert not manifest_path_for(escaped).exists()
+
+
 def test_manifest_command_mismatch_exits_one(tmp_path, capsys):
     # a manifest of the other command is named as such, before any key check
     trace_out = tmp_path / "trace.csv"
@@ -339,6 +362,38 @@ def test_io_error_exit_three(tmp_path, monkeypatch):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli(*trace_args(missing_dir)) == 3
     assert calls == []
+
+
+def test_out_naming_a_directory_exits_three_before_simulating(tmp_path, capsys, monkeypatch):
+    # every data command refuses it before it simulates, fits or creates a
+    # directory, not after the whole run
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    calls = []
+    for name in ("run_trace", "run_echo_curve", "run_scaling", "summarize_curves"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
+    out = tmp_path / "adir"
+    out.mkdir()
+    scaling_args = (
+        "scaling", "--nq-list", "3", "--epsilon-list", "0.05", "--tr-grid", "1..4",
+        "--realizations", 2, "--threads", 1,
+    )
+    commands = [
+        trace_args(out),
+        ["echo-curve", "--nq", 3, "--epsilon", 0.02, "--tr-grid", "1,2", "--out", out],
+        [*scaling_args, "--out", out],
+        [*scaling_args, "--curves-dir", tmp_path / "curves", "--out", out],
+        ["scaling", "--from-csv", csv_path, "--out", out],
+    ]
+    for args in commands:
+        assert run_cli(*args) == 3
+        assert "is a directory" in capsys.readouterr().err
+    assert calls == []
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [out.name, csv_path.name, manifest_path_for(csv_path).name]
+    )
 
 
 def test_verify_passes(capsys):

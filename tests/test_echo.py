@@ -2,12 +2,11 @@
 
 import math
 import os
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from helpers import norm_drift, random_state
+from helpers import InlinePool, norm_drift, random_state
 from sawtooth_echo import (
     EchoConfig,
     EchoRecord,
@@ -186,29 +185,31 @@ def test_tasks_split_each_reversal_time(monkeypatch):
 
 
 def test_pool_never_forks_more_workers_than_tasks(monkeypatch):
-    # a stand-in pool records its size and runs tasks inline, so no process starts
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(echo, "ProcessPoolExecutor", InlinePool)
+    pool = InlinePool()
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(echo, "_cpus", lambda: 4)  # the task count caps the pool
     config = dict(n_q=3, epsilon=0.01, t_r=2, realizations=2)
     records = run_trace(EchoConfig(**config, workers=4))
-    assert sizes == [2]
+    assert pool.sizes == [2]
     assert records == run_trace(EchoConfig(**config, workers=1))
+
+
+def test_pool_never_outgrows_the_cpus_and_starts_the_longest_tasks_first(monkeypatch):
+    # 5000 workers split each of 4 points into R = 3 one-realization tasks;
+    # a fork pool would start every process it is sized for at once
+    pool = InlinePool()
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(echo, "_cpus", lambda: 3)
+    config = dict(n_q=3, epsilon=0.02, t_r_grid=(1, 2, 4, 7), realizations=3, master_seed=2)
+    records = run_echo_curve(EchoConfig(**config, workers=5000))
+    assert pool.sizes == [3]
+    submitted = [t_r for ((_, t_r, _, _, _),) in pool.submitted]
+    assert submitted == [7, 7, 7, 4, 4, 4, 2, 2, 2, 1, 1, 1]
+    assert records == run_echo_curve(EchoConfig(**config, workers=1))
+    # one CPU runs the same tasks in this process, without a pool
+    monkeypatch.setattr(echo, "_cpus", lambda: 1)
+    assert run_echo_curve(EchoConfig(**config, workers=5000)) == records
+    assert pool.sizes == [3]
 
 
 def test_curve_records_independent_of_chunking():
