@@ -161,7 +161,7 @@ def build_parser() -> _Parser:
             type=int,
             default=None,
             action=_Fixed if sub is scaling else "store",
-            help="parallel realization workers (default: available cores)",
+            help="parallel realization processes (default and cap: available cores)",
         )
         sub.add_argument(
             "--out", type=Path, help="output path (CSV; JSON summary for scaling)"

@@ -64,8 +64,10 @@ class EchoConfig:
     def __post_init__(self):
         if self.n_q < 2:
             raise ValueError(f"echo protocol needs n_q >= 2, got {self.n_q}")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        # the draws are angles (a Hadamard tilt and phase errors): a range
+        # wider than pi only wraps the circle
+        if not 0.0 <= self.epsilon <= math.pi:
+            raise ValueError(f"epsilon must lie in [0, pi], got {self.epsilon}")
         if not math.isfinite(self.K):
             raise ValueError(f"K must be finite, got {self.K}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -93,10 +95,18 @@ class EchoConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("t_r grid must be strictly increasing")
             object.__setattr__(self, "t_r_grid", grid)
-
-    def resolved_workers(self) -> int:
-        """The worker count, by default the CPUs this process may run on."""
-        return self.workers if self.workers is not None else _cpus()
+        # the parent holds every task's (eof, entropy, fidelity) rows, 24
+        # bytes per recorded snapshot, and one point's concatenated copy
+        if self.t_r_grid is None:
+            snapshots, where = 2 * (2 * (self.t_r or 0) + 1), f"t_r = {self.t_r}"
+        else:
+            snapshots, where = len(self.t_r_grid) + 1, f"a {len(self.t_r_grid)}-point t_r grid"
+        if 24 * self.realizations * snapshots > memory:
+            raise ValueError(
+                f"{self.realizations} realizations at {where} record "
+                f"{24 * self.realizations * snapshots} bytes of observables, more than "
+                f"the {memory} bytes of physical memory"
+            )
 
 
 @dataclass(frozen=True)
@@ -251,33 +261,19 @@ def _echo_block(task) -> np.ndarray:
     return out
 
 
-def _scatter(tasks, workers):
+def _scatter(tasks, processes: int):
     """Run tasks, the last one first, and return their results in task order.
 
     _run lists tasks in increasing t_r, so the longest start first.  The pool
-    has at most one process per worker, per task and per CPU: a fork pool
-    starts all of them at once.  Aggregation downstream folds realizations in
-    index order, so the result is independent of scheduling.
+    has at most processes processes and one per task: a fork pool starts all
+    of them at once.  Aggregation downstream folds realizations in index
+    order, so the result is independent of scheduling.
     """
-    processes = min(workers, len(tasks), _cpus())
+    processes = min(processes, len(tasks))
     if processes <= 1:
         return [_echo_block(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(_echo_block, tasks[::-1]))[::-1]
-
-
-def _chunk_ranges(total: int, workers: int, points: int):
-    """(first, count) chunks of one point's total realizations: about four
-    tasks per worker over all points, at least one per point."""
-    chunks = min(total, -(-4 * workers // points))
-    base, extra = divmod(total, chunks)
-    ranges = []
-    start = 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, size))
-        start += size
-    return ranges
 
 
 def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
@@ -287,18 +283,25 @@ def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
 
 
 def _run(config: EchoConfig, t_rs, record_trace: bool) -> list:
-    """Records of every reversal time in t_rs, in order: one per recorded step."""
-    workers = config.resolved_workers()
-    ranges = _chunk_ranges(config.realizations, workers, len(t_rs))
+    """Records of every reversal time in t_rs, in order: one per recorded step.
+
+    The processes that run are the worker count capped at the CPUs, and the
+    split follows them: about four (reversal time, realization chunk) tasks
+    per process over the whole run, at least one per reversal time and at
+    most one per realization.
+    """
+    processes = min(config.workers or math.inf, _cpus())
+    chunks = min(config.realizations, -(-4 * processes // len(t_rs)))
+    split = np.array_split(np.arange(config.realizations), chunks)
     tasks = [
-        (config, t_r, first, count, record_trace)
+        (config, t_r, int(chunk[0]), len(chunk), record_trace)
         for t_r in t_rs
-        for first, count in ranges
+        for chunk in split
     ]
-    results = _scatter(tasks, workers)
+    results = _scatter(tasks, processes)
     records = []
     for i, t_r in enumerate(t_rs):
-        block = np.concatenate(results[i * len(ranges) : (i + 1) * len(ranges)], axis=0)
+        block = np.concatenate(results[i * chunks : (i + 1) * chunks], axis=0)
         first_step = 0 if record_trace else 2 * t_r
         records += [_aggregate(first_step + j, block[:, j]) for j in range(block.shape[1])]
     return records

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sawtooth_echo import cli, scaling
+from sawtooth_echo import cli, echo, scaling
 from sawtooth_echo.echo import EchoConfig, run_trace
 from sawtooth_echo.engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS
 from sawtooth_echo.measures import ergodic_entropy_reference
@@ -240,6 +240,26 @@ def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
     assert run_cli(*trace_args(out, nq=fits + 1, tr=1, realizations=1)) == 1
     assert not out.exists()
     assert "physical memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("args", "named"),
+    [
+        (["trace", "--nq", 6, "--tr", 3, "--epsilon", 9e307, "--realizations", 2], "epsilon"),
+        (["trace", "--nq", 6, "--tr", 3, "--epsilon", 8e307, "--realizations", 2], "epsilon"),
+        (["trace", "--nq", 4, "--tr", 10**13, "--epsilon", 0.01, "--realizations", 2], "t_r"),
+        (["echo-curve", "--nq", 4, "--tr-grid", "1,2", "--epsilon", 0.01,
+          "--realizations", 10**14], "realizations"),
+    ],
+)
+def test_huge_inputs_exit_one_before_any_task(tmp_path, capsys, monkeypatch, args, named):
+    # an epsilon far above pi, or observables beyond physical memory, once
+    # failed inside the run with a numpy traceback
+    monkeypatch.setattr(echo, "_scatter", lambda *a: pytest.fail("a task started"))
+    assert run_cli(*args, "--threads", 2, "--out", tmp_path / "x.csv") == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and named in err
 
 
 @pytest.mark.parametrize("nq_list", ["6,1", "6,40", "6,6"])

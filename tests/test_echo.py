@@ -159,12 +159,13 @@ def test_realization_halves_agree():
 
 
 def test_tasks_split_each_reversal_time(monkeypatch):
-    # about four (reversal time, realization chunk) tasks per worker over the
-    # whole run, at least one per reversal time, never more than R per point
+    # about four (reversal time, realization chunk) tasks per process over
+    # the whole run, at least one per reversal time, never more than R per point
     seen = []
     scatter = echo._scatter
+    monkeypatch.setattr(echo, "_cpus", lambda: 2)  # two processes, whatever the host
     monkeypatch.setattr(
-        echo, "_scatter", lambda tasks, workers: seen.append(tasks) or scatter(tasks, 1)
+        echo, "_scatter", lambda tasks, processes: seen.append(tasks) or scatter(tasks, 1)
     )
     base = dict(n_q=3, epsilon=0.02, realizations=10, master_seed=4, workers=2)
     run_trace(EchoConfig(**base, t_r=3))
@@ -212,8 +213,27 @@ def test_pool_never_outgrows_the_cpus_and_starts_the_longest_tasks_first(monkeyp
     assert pool.sizes == [3]
 
 
-def test_curve_records_independent_of_chunking():
-    # 14 realizations: at 2 and 3 workers the chunk count does not divide R
+def test_workers_above_the_cpus_run_the_tasks_of_the_cpus(monkeypatch):
+    # the split follows the processes that run, not the workers asked for:
+    # 400 workers on 2 CPUs submit the tasks of 2 workers, not one per
+    # realization, and a pool of 2
+    pool = InlinePool()
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(echo, "_cpus", lambda: 2)
+    config = dict(n_q=3, epsilon=0.02, t_r_grid=(1, 2, 3), realizations=10, master_seed=6)
+    runs = {}
+    for workers in (2, 400):
+        pool.submitted.clear()
+        records = run_echo_curve(EchoConfig(**config, workers=workers))
+        runs[workers] = records, [task[1:] for (task,) in pool.submitted]
+    assert runs[400] == runs[2]
+    assert len(runs[2][1]) == 9  # three chunks of 4, 3 and 3 per reversal time
+    assert pool.sizes == [2, 2]
+
+
+def test_curve_records_independent_of_chunking(monkeypatch):
+    # 14 realizations: at 2 and 3 processes the chunk count does not divide R
+    monkeypatch.setattr(echo, "_cpus", lambda: 3)
     config = dict(n_q=3, epsilon=0.03, realizations=14, master_seed=11)
     one = [run_echo_curve(EchoConfig(**config, t_r_grid=(5,), workers=w)) for w in (1, 2, 3)]
     two = [run_echo_curve(EchoConfig(**config, t_r_grid=(2, 5), workers=w)) for w in (1, 2, 3)]
@@ -222,9 +242,10 @@ def test_curve_records_independent_of_chunking():
     assert one[0][0] == two[0][1]
 
 
-def test_trace_records_independent_of_chunking():
-    # 14 realizations of 11 snapshots: at 2 and 3 workers the chunks, and so
-    # the stacks each task reduces, hold different realizations
+def test_trace_records_independent_of_chunking(monkeypatch):
+    # 14 realizations of 11 snapshots: at 2 and 3 processes the chunks, and
+    # so the stacks each task reduces, hold different realizations
+    monkeypatch.setattr(echo, "_cpus", lambda: 3)
     config = dict(n_q=3, epsilon=0.03, t_r=5, realizations=14, master_seed=12)
     runs = [run_trace(EchoConfig(**config, workers=w)) for w in (1, 2, 3)]
     assert len(runs[0]) == 11
@@ -328,7 +349,8 @@ def test_echo_curve_shape_matches_observed_decay():
 def test_config_validation():
     with pytest.raises(ValueError):
         EchoConfig(n_q=1, epsilon=0.0, t_r=3)
-    for epsilon in (-0.1, math.inf, math.nan):
+    # epsilon is an angle range: above pi it only wraps the circle
+    for epsilon in (-0.1, 4.0, 1e308, math.inf, math.nan):
         with pytest.raises(ValueError):
             EchoConfig(n_q=3, epsilon=epsilon, t_r=3)
         with pytest.raises(ValueError):
@@ -341,6 +363,11 @@ def test_config_validation():
         EchoConfig(n_q=40, epsilon=0.0, t_r=3)
     with pytest.raises(ValueError, match="physical memory"):
         ScalingConfig(nq_list=(3, 40), epsilon_list=(0.01,))
+    # so are observables that the parent could not hold, 24 bytes each
+    with pytest.raises(ValueError, match="physical memory"):
+        EchoConfig(n_q=4, epsilon=0.01, t_r=10**13, realizations=2)
+    with pytest.raises(ValueError, match="physical memory"):
+        EchoConfig(n_q=4, epsilon=0.01, t_r_grid=(1, 2), realizations=10**14)
     with pytest.raises(ValueError):
         EchoConfig(n_q=3, epsilon=0.1, t_r=3, realizations=0)
     with pytest.raises(ValueError):
@@ -355,12 +382,18 @@ def test_config_validation():
 
 def test_workers_decided_at_construction(monkeypatch):
     # the default is the CPUs this process may run on, not the machine's
+    pool = InlinePool()
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", pool)
+    config = dict(n_q=3, epsilon=0.01, t_r=2, realizations=5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert EchoConfig(n_q=3, epsilon=0.01, t_r=2).resolved_workers() == 1
+    assert echo._cpus() == 1
+    run_trace(EchoConfig(**config))  # one CPU runs without a pool
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert EchoConfig(n_q=3, epsilon=0.01, t_r=2).resolved_workers() == 3
-    assert EchoConfig(n_q=3, epsilon=0.01, t_r=2, workers=5).resolved_workers() == 5
+    assert echo._cpus() == 3
+    for workers in (None, 2, 5):
+        run_trace(EchoConfig(**config, workers=workers))
+    assert pool.sizes == [3, 2, 3]
     # a bad count fails at construction, before any run starts a pool
     with pytest.raises(ValueError, match="workers"):
         EchoConfig(n_q=3, epsilon=0.01, t_r=2, workers=0)

@@ -25,6 +25,9 @@ COMMON = ["--realizations", 4, "--seed", 1, "--threads", 2]
 #: measures.snapshot spans each command records: R * (2 t_r + 1) for the
 #: trace, R per grid point for a curve, over every (n_q, epsilon) point
 SNAPSHOTS = {"trace": 4 * 5, "echo-curve": 4 * 2, "scaling": 2 * 4 * 4}
+#: engine.apply_noisy spans each command records, the benchmark's echo.rit:
+#: R * 2 * sum(t_r) over every (n_q, epsilon) point
+ITERATIONS = {"trace": 4 * 2 * 2, "echo-curve": 4 * 2 * 3, "scaling": 2 * 4 * 2 * 10}
 
 COMMANDS = {  # command: (CLI arguments before --out, --refit mode, output file)
     "trace": (["trace", "--nq", 3, "--tr", 2, "--epsilon", 0.01, *COMMON], "forward", "csv"),
@@ -40,6 +43,15 @@ COMMANDS = {  # command: (CLI arguments before --out, --refit mode, output file)
         "json",
     ),
 }
+
+
+def spans(tasks, name):
+    """How many spans called name the worker tasks recorded."""
+    return sum(
+        list(task["name"]).count(task["names"].index(name))
+        for task in tasks
+        if name in task["names"]
+    )
 
 
 def outputs(out):
@@ -71,12 +83,14 @@ def test_traced_child_run_matches_untraced(tmp_path, command):
         with open(path, "rb") as f:
             tasks.append(pickle.load(f))
     assert tasks
-    # the benchmark's count check and norm-drift metric rest on one
-    # echo._record_measures call per snapshot with the register first
-    snapshots = sum(
-        list(task["name"]).count(task["names"].index("measures.snapshot")) for task in tasks
-    )
-    assert snapshots == SNAPSHOTS[command]
+    # the benchmark's count checks and norm-drift metric rest on one
+    # echo._record_measures call per snapshot with the register first, and
+    # one BoundProgram.apply_noisy call per realization-iteration
+    assert spans(tasks, "measures.snapshot") == SNAPSHOTS[command]
+    assert spans(tasks, "engine.apply_noisy") == ITERATIONS[command]
+    # and on one op count and one draw count across tasks
+    for key in ("program.ops_per_iter", "engine.draws_per_iter"):
+        assert len(set().union(*(task["counts"].get(key, set()) for task in tasks))) == 1
     assert max(task["norm_drift_max"] for task in tasks) <= 1e-10
     untraced = run_child("--", *cli_args, "--out", untraced_out)
     assert untraced.returncode == 0, untraced.stderr
