@@ -265,9 +265,10 @@ def _scatter(tasks, processes: int):
     """Run tasks, the last one first, and return their results in task order.
 
     _run lists tasks in increasing t_r, so the longest start first.  The pool
-    has at most processes processes and one per task: a fork pool starts all
-    of them at once.  Aggregation downstream folds realizations in index
-    order, so the result is independent of scheduling.
+    is no larger than the process count _run decided, nor than the task
+    count: a fork pool starts all its processes at once.  Aggregation
+    downstream folds realizations in index order, so the result is
+    independent of scheduling.
     """
     processes = min(processes, len(tasks))
     if processes <= 1:
