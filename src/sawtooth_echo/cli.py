@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .echo import EchoConfig, run_echo_curve, run_trace
+from .echo import EchoConfig, check_observables, run_echo_curve, run_trace
 from .output import (
     CURVE_HEADER,
     TRACE_HEADER,
@@ -97,8 +97,11 @@ class _Fixed(argparse.Action):
         namespace.fixed_flags += (self.option_strings[0],)
 
 
-def parse_int_grid(text: str):
-    """Grid syntax: 'a..b', 'a..b:step', or a comma-separated list."""
+def parse_int_grid(text: str, flag: str):
+    """Grid syntax: 'a..b', 'a..b:step', or a comma-separated list.  A range
+    is refused before it is listed when one realization at each of its
+    values would record more observables than physical memory holds
+    (echo.check_observables); the message names it by flag."""
     text = text.strip()
     try:
         if ".." in text:
@@ -108,11 +111,12 @@ def parse_int_grid(text: str):
             step = int(step_text) if step_text else 1
             if step < 1:
                 raise ValueError
-            values = list(range(start, stop + 1, step))
+            values = range(start, stop + 1, step)
         else:
             values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"cannot parse grid {text!r}; use 'a..b[:step]' or 'a,b,c'")
+    check_observables(len(values) + 1, f"{flag} {text} at one realization per value would")
     if not values:
         raise UsageError(f"grid {text!r} is empty")
     return tuple(values)
@@ -296,7 +300,7 @@ def cmd_run(args) -> int:
             epsilon=args.epsilon,
             K=args.K,
             t_r=args.tr,
-            t_r_grid=None if trace else parse_int_grid(args.tr_grid),
+            t_r_grid=None if trace else parse_int_grid(args.tr_grid, "--tr-grid"),
             realizations=args.realizations,
             master_seed=args.seed,
             workers=args.threads,
@@ -348,10 +352,10 @@ def cmd_scaling(args) -> int:
     else:
         _require(args, ["nq-list", "epsilon-list"])
         config = ScalingConfig(
-            nq_list=[int(n) for n in parse_int_grid(args.nq_list)],
+            nq_list=[int(n) for n in parse_int_grid(args.nq_list, "--nq-list")],
             epsilon_list=parse_float_list(args.epsilon_list),
             t_r_grid=(
-                parse_int_grid(args.tr_grid) if args.tr_grid else DEFAULT_T_R_GRID
+                parse_int_grid(args.tr_grid, "--tr-grid") if args.tr_grid else DEFAULT_T_R_GRID
             ),
             realizations=args.realizations,
             master_seed=args.seed,

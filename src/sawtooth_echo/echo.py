@@ -48,6 +48,18 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def check_observables(snapshots: int, where: str) -> None:
+    """Refuse a run whose parent could not hold its observables: every
+    task's (eof, entropy, fidelity) rows, 24 bytes per recorded snapshot,
+    and one point's concatenated copy.  where names the run."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 24 * snapshots > memory:
+        raise ValueError(
+            f"{where} record {24 * snapshots} bytes of observables, more than "
+            f"the {memory} bytes of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class EchoConfig:
     """Parameters of one echo experiment (trace or echo-curve mode)."""
@@ -68,8 +80,6 @@ class EchoConfig:
         # wider than pi only wraps the circle
         if not 0.0 <= self.epsilon <= math.pi:
             raise ValueError(f"epsilon must lie in [0, pi], got {self.epsilon}")
-        if not math.isfinite(self.K):
-            raise ValueError(f"K must be finite, got {self.K}")
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         # TASK_BYTES_PER_AMPLITUDE * 2**n_q > memory, without forming 2**n_q
         if self.n_q >= (memory // TASK_BYTES_PER_AMPLITUDE).bit_length():
@@ -78,6 +88,10 @@ class EchoConfig:
                 f"and its phase tables, {TASK_BYTES_PER_AMPLITUDE} * 2**{self.n_q} "
                 f"bytes, more than the {memory} bytes of physical memory"
             )
+        # the kick phases grow as K * N: a finite K can still overflow one
+        gates = map_program(MapParams(self.n_q, self.K)).gates
+        if not all(math.isfinite(getattr(gate, "phase", 0.0)) for gate in gates):
+            raise ValueError(f"K = {self.K} overflows a gate phase of the n_q = {self.n_q} map")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.workers is not None and self.workers < 1:
@@ -95,18 +109,13 @@ class EchoConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("t_r grid must be strictly increasing")
             object.__setattr__(self, "t_r_grid", grid)
-        # the parent holds every task's (eof, entropy, fidelity) rows, 24
-        # bytes per recorded snapshot, and one point's concatenated copy
         if self.t_r_grid is None:
             snapshots, where = 2 * (2 * (self.t_r or 0) + 1), f"t_r = {self.t_r}"
         else:
             snapshots, where = len(self.t_r_grid) + 1, f"a {len(self.t_r_grid)}-point t_r grid"
-        if 24 * self.realizations * snapshots > memory:
-            raise ValueError(
-                f"{self.realizations} realizations at {where} record "
-                f"{24 * self.realizations * snapshots} bytes of observables, more than "
-                f"the {memory} bytes of physical memory"
-            )
+        check_observables(
+            self.realizations * snapshots, f"{self.realizations} realizations at {where}"
+        )
 
 
 @dataclass(frozen=True)

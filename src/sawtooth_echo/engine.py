@@ -15,18 +15,21 @@ every application including backward evolution):
 A program compiles into two op kinds: each Hadamard, and one fused
 diagonal for each maximal run of phase-type gates between Hadamards (a map
 iteration has 4*n_q ops).  Each op has one kernel, a function of its
-draws, that writes out of place into the other of two buffers.  A diagonal
-whose phase matrix fits _DENSE_PHASE_BYTES has its phases evaluated by the
-bound program before the ops run: one matmul per such op into one phase
-buffer, then one cos and one sin for all of them into one factor buffer;
-a larger diagonal evaluates its own phases and factor in a region of the
-same two buffers, so applying a program allocates no table.  A program's
-inverse binds to the same buffers (see BoundProgram).  Draws
-are consumed in program order from the caller's generator, one uniform
-vector per application; the echo protocol passes each realization's own
-stream (echo.realization_rng), so a fixed (master seed, reversal time,
-realization) triple reproduces every amplitude bit-for-bit.  The ideal
-program is the same ops with zero draws.
+draws, that writes out of place into the other of two buffers.  A
+diagonal's phase has one representation, its coefficients in the slots of
+a high x low grid of bit features (see _compile_diagonal), with two ways
+to evaluate it, and every diagonal ends in the same multiply by its factor
+exp(i * phase).  A diagonal whose phase matrix fits _DENSE_PHASE_BYTES has
+its phases evaluated by the bound program before the ops run: one matmul
+per such op into one phase buffer, then one cos and one sin for all of
+them into one factor buffer; a larger diagonal evaluates its own phases
+and factor in a region of the same two buffers, so applying a program
+allocates no table.  A program's inverse binds to the same buffers (see
+BoundProgram).  Draws are consumed in program order from the caller's
+generator, one uniform vector per application; the echo protocol passes
+each realization's own stream (echo.realization_rng), so a fixed (master
+seed, reversal time, realization) triple reproduces every amplitude
+bit-for-bit.  The ideal program is the same ops with zero draws.
 """
 
 import math
@@ -42,10 +45,18 @@ from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
 #: Targets whose block stride L = 2 * 2**(n_q - t) floats is at most this
 #: rotate through one (rows, 2L) @ kron(M^T, I_L) product; wider targets
 #: through the batched M @ (blocks, 2, L) product.  The batched 2x2 matmul
-#: pays per block, so it loses once blocks are short: the crossover was
-#: measured at L = 16 for n_q = 10 and 12, and at n_q <= 6 the two differ
-#: by at most 0.3 us per application.
-_KRON_MAX_STRIDE = 16
+#: pays per block, so it loses once blocks are short.  One application,
+#: kron/batched in us (best of 3 x 15 interleaved rounds,
+#: OPENBLAS_NUM_THREADS=1, a 2-CPU Intel Xeon host):
+#:
+#:     L   n_q = 4    5          6          8          10         12
+#:     16  2.68/2.20  2.72/2.22  2.70/2.24  3.28/2.88  5.52/5.23  11.84/12.29
+#:     8   2.37/2.08  2.50/2.23  2.48/2.48  2.97/3.49  3.96/6.96  8.05/20.74
+#:     2   2.26/2.40  2.43/2.88  2.30/3.25  2.71/6.54  3.51/19.07 7.11/69.55
+#:
+#: so batched blocks of 16 floats are faster up to n_q = 10 and within
+#: 0.5 us at 12, while kron wins from L = 8 once the register is large.
+_KRON_MAX_STRIDE = 8
 
 #: A fused diagonal whose phase matrix P (table entries x draws, float64)
 #: takes at most this many bytes evaluates its phases as one P @ draws
@@ -114,35 +125,26 @@ def _bind_hadamard(src, dst, n_q, target):
     return tilted
 
 
-def _monomial_columns(m, monomials):
-    """Each monomial, a tuple of bit positions (bit 0 most significant), as
-    a 0/1 column over the 2**m settings of m bits; () is the constant 1."""
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return np.column_stack([bits[:, list(mono)].prod(axis=1) for mono in monomials]).astype(float)
-
-
 @lru_cache(maxsize=None)
 def _features(m):
     """Feature columns over the 2**m settings of m bits: each bit, the
     constant 1, and each product of two bits.  Returns the matrix and the
-    column index of each monomial."""
+    column index of each monomial, a tuple of bit positions (bit 0 most
+    significant; () is the constant)."""
     monomials = [(i,) for i in range(m)] + [()] + list(combinations(range(m), 2))
-    features = _monomial_columns(m, monomials)
+    bits = ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(float)
+    features = np.column_stack([bits[:, list(mono)].prod(axis=1) for mono in monomials])
     features.setflags(write=False)
     return features, {mono: c for c, mono in enumerate(monomials)}
 
 
-def _bind_dense_diagonal(src, dst, phase, factor, shape):
-    """A diagonal whose factor exp(i * phase) the bound program writes into
-    factor before its ops run: one multiply from src into dst."""
+def _bind_multiply(src, dst, phase, factor, shape):
+    """The multiply every diagonal op ends in: src times its factor table,
+    a column over the window index, into dst."""
     view = src.reshape(shape)
     out = dst.reshape(shape)
     column = factor.reshape(-1, 1)
-
-    def diagonal(d):
-        np.multiply(view, column, out=out)
-
-    return diagonal
+    return lambda d: np.multiply(view, column, out=out)
 
 
 def _compile_diagonal(n_q, gates, phase_budget):
@@ -151,21 +153,24 @@ def _compile_diagonal(n_q, gates, phase_budget):
     With draws (d0, d1) a gate with qubits (controls..., target) adds
     d0 * prod(controls) + (phase + d1 - d0) * prod(qubits) to the phase of a
     basis state: a quadratic form in the basis bits, linear in the draws.
-    The table spans the window of qubits the run touches; its phase is the
-    ideal coefficients plus a linear map of the run's draws, one
-    coefficient per monomial the run sets.
+    The table spans the window of qubits the run touches, split into high
+    and low bits.  Its phase is F_high @ C @ F_low^T, where F are the
+    feature columns of each half (see _features) and C holds one
+    coefficient per monomial the run sets, in that monomial's slot of the
+    high x low feature grid: the ideal coefficients plus a linear map of the
+    run's draws.
 
     Returns (bind, entries, phases), where entries = 2**width is the size
     of the table and bind(src, dst, phase, factor) binds the op to its
-    source and destination buffers and to its phase and factor tables.  When
-    the phase matrix P, the monomial columns over the whole table times that
-    linear map, takes at most phase_budget bytes, phases is (P, ideal
-    table), each one product of the monomial columns, and the op is the
-    multiply by the factor the bound program evaluates.  Otherwise phases is
-    None and the op evaluates its table over a high/low split of the window
-    index as F_high @ C @ F_low^T into phase, and exp(i * phase) into
-    factor, before it multiplies: the coefficient matrix C is filled from
-    the draws on every application, so no table-by-draws matrix is ever
+    source and destination buffers and to its phase and factor tables.  The
+    op ends in one multiply by the factor exp(i * phase); the form has two
+    ways to reach it.  When the phase matrix P (the grid's columns at the
+    run's slots times the linear map) takes at most phase_budget bytes,
+    phases is (P, ideal table), the columns times the map and times the
+    ideal coefficients, and the bound program evaluates the factor.
+    Otherwise phases is None and the op fills C from the draws on every
+    application and evaluates F_high @ C @ F_low^T into phase and
+    exp(i * phase) into factor itself, so no table-by-draws matrix is ever
     formed, and only C and the F_high @ C product are the op's own.
     """
     terms = []  # (qubits, target last; phase)
@@ -183,11 +188,11 @@ def _compile_diagonal(n_q, gates, phase_budget):
     width = last - first + 1
     shape = (1 << (first - 1), 1 << width, 1 << (n_q - last))
 
-    monomials = {}  # window-local monomial -> slot of a coefficient the run sets
-    term_slots = []  # (slot of prod(controls), slot of prod(qubits))
+    monomials = {}  # window-local monomial -> row of its coefficient in weights
+    term_rows = []  # (row of prod(controls), row of prod(qubits))
     for qubits, _ in terms:
         local = [q - first for q in qubits]
-        term_slots.append(
+        term_rows.append(
             (
                 monomials.setdefault(tuple(sorted(local[:-1])), len(monomials)),
                 monomials.setdefault(tuple(sorted(local)), len(monomials)),
@@ -195,7 +200,7 @@ def _compile_diagonal(n_q, gates, phase_budget):
         )
     weights = np.zeros((len(monomials), 2 * len(terms)))
     offsets = np.zeros(len(monomials))  # the ideal coefficients
-    for g, ((controls, both), (_, phase)) in enumerate(zip(term_slots, terms)):
+    for g, ((controls, both), (_, phase)) in enumerate(zip(term_rows, terms)):
         weights[controls, 2 * g] += 1.0
         weights[both, 2 * g] -= 1.0
         weights[both, 2 * g + 1] += 1.0
@@ -204,17 +209,9 @@ def _compile_diagonal(n_q, gates, phase_budget):
         # gates' factors would be
         offsets[both] += math.atan2(math.sin(phase), math.cos(phase))
 
-    if (8 << width) * weights.shape[1] <= phase_budget:  # the bytes of P
-        columns = _monomial_columns(width, monomials)
-        phases = (columns @ weights, columns @ offsets)
-        for table in phases:
-            table.setflags(write=False)
-        return partial(_bind_dense_diagonal, shape=shape), 1 << width, phases
-
     high = width // 2
     f_high, high_column = _features(high)
     f_low, low_column = _features(width - high)
-    f_low_t = f_low.T.copy()
     slots = np.array(
         [
             high_column[tuple(i for i in mono if i < high)] * f_low.shape[1]
@@ -222,27 +219,36 @@ def _compile_diagonal(n_q, gates, phase_budget):
             for mono in monomials
         ]
     )  # the flat cell of C that each coefficient fills
+
+    if (8 << width) * weights.shape[1] <= phase_budget:  # the bytes of P
+        high_slots, low_slots = np.divmod(slots, f_low.shape[1])
+        # F_high (x) F_low at the slots, C-contiguous: a strided operand
+        # sends both products to other BLAS kernels, which round differently
+        grid = f_high[:, None, high_slots] * f_low[None, :, low_slots]
+        columns = np.ascontiguousarray(grid.reshape(1 << width, -1))
+        phases = (columns @ weights, columns @ offsets)
+        for table in phases:
+            table.setflags(write=False)
+        return partial(_bind_multiply, shape=shape), 1 << width, phases
+
+    f_low_t = f_low.T.copy()
     for table in (f_low_t, weights, slots, offsets):
         table.setflags(write=False)
 
     def bind(src, dst, phase, factor):
-        view = src.reshape(shape)
-        out = dst.reshape(shape)
+        multiply = _bind_multiply(src, dst, phase, factor, shape)
         coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
         flat = coefficients.reshape(-1)
         high_part = np.empty((f_high.shape[0], f_low.shape[1]))  # F_high @ C
-        phase = phase[: 1 << width]
         table = phase.reshape(f_high.shape[0], f_low_t.shape[1])
-        factor = factor[: 1 << width]
-        column = factor.reshape(-1, 1)
 
-        def diagonal(d):  # out = view * exp(i * F_high @ C @ F_low^T), as a column
+        def diagonal(d):  # dst = src * exp(i * F_high @ C @ F_low^T), as a column
             flat[slots] = offsets + weights @ d
             np.matmul(f_high, coefficients, out=high_part)
             np.matmul(high_part, f_low_t, out=table)
             np.cos(phase, out=factor.real)
             np.sin(phase, out=factor.imag)
-            np.multiply(view, column, out=out)
+            multiply(d)
 
         return diagonal
 
@@ -262,8 +268,8 @@ def _compile(program, phase_budget):
     * ideal: the dense diagonals' ideal phase tables, end to end;
     * entries: the length of the phase and factor buffers.  The dense
       tables fill the first ideal.size entries; the factorized diagonals
-      run one at a time, so they share the region after them, as long as
-      the largest factorized table.
+      run one at a time, so each takes the start of the region after them,
+      which is as long as the largest factorized table.
 
     Cached, because every echo task binds the same forward and backward
     programs to fresh buffers.
@@ -271,7 +277,7 @@ def _compile(program, phase_budget):
     ops = []
     phase_ops = []
     ideal = []
-    factorized = []  # index in ops of each factorized diagonal
+    factorized = []  # (index in ops, table size) of each factorized diagonal
     draws = entries = shared = 0
     for is_hadamard, run in groupby(program.gates, lambda g: isinstance(g, Hadamard)):
         if is_hadamard:
@@ -285,7 +291,7 @@ def _compile(program, phase_budget):
         draws = span.stop
         bind, size, phases = _compile_diagonal(program.n_q, run, phase_budget)
         if phases is None:
-            factorized.append(len(ops))
+            factorized.append((len(ops), size))
             shared = max(shared, size)
             ops.append((bind, span, None))
             continue
@@ -295,12 +301,11 @@ def _compile(program, phase_budget):
         ops.append((bind, span, rows))
         phase_ops.append((matrix, span, rows))
         ideal.append(table)
-    tail = slice(entries, entries + shared)
-    for i in factorized:
-        ops[i] = (*ops[i][:2], tail)
+    for i, size in factorized:
+        ops[i] = (*ops[i][:2], slice(entries, entries + size))
     ideal = np.concatenate([np.zeros(0), *ideal])
     ideal.setflags(write=False)
-    return tuple(ops), tuple(phase_ops), ideal, tail.stop
+    return tuple(ops), tuple(phase_ops), ideal, entries + shared
 
 
 class BoundProgram:

@@ -175,14 +175,19 @@ def test_echo_curve_noiseless_is_unity(tmp_path):
 
 
 def test_grid_parsing():
-    assert cli.parse_int_grid("1..5") == (1, 2, 3, 4, 5)
-    assert cli.parse_int_grid("2..10:3") == (2, 5, 8)
-    assert cli.parse_int_grid("1,4,9") == (1, 4, 9)
+    assert cli.parse_int_grid("1..5", "--tr-grid") == (1, 2, 3, 4, 5)
+    assert cli.parse_int_grid("2..10:3", "--tr-grid") == (2, 5, 8)
+    assert cli.parse_int_grid("1,4,9", "--nq-list") == (1, 4, 9)
     assert cli.parse_float_list("0.01,0.02") == (0.01, 0.02)
     with pytest.raises(cli.UsageError):
-        cli.parse_int_grid("a..b")
+        cli.parse_int_grid("a..b", "--tr-grid")
     with pytest.raises(cli.UsageError):
-        cli.parse_int_grid("5..1")
+        cli.parse_int_grid("5..1", "--tr-grid")
+    # a range whose observables at one realization per value would not fit
+    # in physical memory is refused before it is listed
+    for flag in ("--tr-grid", "--nq-list"):
+        with pytest.raises(ValueError, match=f"{flag} 1..{10**12} .*physical memory"):
+            cli.parse_int_grid(f"1..{10**12}", flag)
     with pytest.raises(cli.UsageError):
         cli.parse_float_list("x")
 
@@ -250,11 +255,20 @@ def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
         (["trace", "--nq", 4, "--tr", 10**13, "--epsilon", 0.01, "--realizations", 2], "t_r"),
         (["echo-curve", "--nq", 4, "--tr-grid", "1,2", "--epsilon", 0.01,
           "--realizations", 10**14], "realizations"),
+        (["trace", "--nq", 3, "--tr", 2, "--epsilon", 0.01, "--K", 1e308,
+          "--realizations", 4], "K = 1e+308"),
+        (["scaling", "--nq-list", 4, "--epsilon-list", 0.01, "--tr-grid", "1,2,3",
+          "--K", 1e308, "--realizations", 2], "K = 1e+308"),
+        (["echo-curve", "--nq", 3, "--tr-grid", f"1..{10**12}", "--epsilon", 0.01,
+          "--realizations", 1], "--tr-grid"),
+        (["scaling", "--nq-list", f"3..{10**12}", "--epsilon-list", 0.01, "--tr-grid", "1,2",
+          "--realizations", 1], "--nq-list"),
     ],
 )
 def test_huge_inputs_exit_one_before_any_task(tmp_path, capsys, monkeypatch, args, named):
-    # an epsilon far above pi, or observables beyond physical memory, once
-    # failed inside the run with a numpy traceback
+    # an epsilon far above pi, observables beyond physical memory, a K whose
+    # map phases overflow and a range grid too long to list once failed
+    # inside the run or the parser with a traceback
     monkeypatch.setattr(echo, "_scatter", lambda *a: pytest.fail("a task started"))
     assert run_cli(*args, "--threads", 2, "--out", tmp_path / "x.csv") == 1
     assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -355,6 +356,15 @@ def test_config_validation():
             EchoConfig(n_q=3, epsilon=epsilon, t_r=3)
         with pytest.raises(ValueError):
             ScalingConfig(nq_list=(3,), epsilon_list=(0.01, epsilon))
+    # a K for which a gate phase of the map overflows is refused, even when
+    # K itself is finite; the same K fits a smaller register
+    for n_q, K in ((3, 1e308), (10, 1e307), (3, math.inf), (3, -math.inf), (3, math.nan)):
+        message = rf"K = {re.escape(str(K))} overflows .* n_q = {n_q} map"
+        with pytest.raises(ValueError, match=message):
+            EchoConfig(n_q=n_q, epsilon=0.01, t_r=3, K=K)
+        with pytest.raises(ValueError, match="K = "):
+            ScalingConfig(nq_list=(2, n_q), epsilon_list=(0.01,), K=K)
+    assert EchoConfig(n_q=3, epsilon=0.01, t_r=3, K=1e307).K == 1e307
     # a repeated grid value is refused: it would be simulated, written and fitted twice
     with pytest.raises(ValueError):
         ScalingConfig(nq_list=(3,), epsilon_list=(0.01, 0.01))

@@ -191,7 +191,7 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
     # draw order and the fusion of phase-type runs into one diagonal are
     # invisible to the statistical checks; compare every amplitude against
     # the dense per-gate reference, with the layouts and phase paths the
-    # bind rules pick (both Hadamard layouts from n_q = 5, both phase paths
+    # bind rules pick (both Hadamard layouts from n_q = 4, both phase paths
     # at n_q = 9) and with every op forced onto each one
     rng = np.random.default_rng(40 + n_q)
     params = MapParams(n_q, 5.0)
