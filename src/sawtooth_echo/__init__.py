@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .echo import EchoConfig, EchoRecord, initial_state, realization_rng, run_echo_curve, run_trace
 from .echo import StateVector, fidelity, partial_trace_12
-from .engine import BoundProgram, apply_program
+from .engine import BoundProgram
 from .fits import (
     FitResult,
     UnresolvedThreshold,

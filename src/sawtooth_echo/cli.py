@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .echo import EchoConfig, check_observables, run_echo_curve, run_trace
+from .echo import EchoConfig, run_echo_curve, run_trace
 from .output import (
     CURVE_HEADER,
     TRACE_HEADER,
@@ -97,11 +97,10 @@ class _Fixed(argparse.Action):
         namespace.fixed_flags += (self.option_strings[0],)
 
 
-def parse_int_grid(text: str, flag: str):
+def parse_int_grid(text: str):
     """Grid syntax: 'a..b', 'a..b:step', or a comma-separated list.  A range
-    is refused before it is listed when one realization at each of its
-    values would record more observables than physical memory holds
-    (echo.check_observables); the message names it by flag."""
+    comes back unlisted, so EchoConfig and ScalingConfig size it before
+    they list it."""
     text = text.strip()
     try:
         if ".." in text:
@@ -113,13 +112,12 @@ def parse_int_grid(text: str, flag: str):
                 raise ValueError
             values = range(start, stop + 1, step)
         else:
-            values = [int(part) for part in text.split(",") if part.strip()]
+            values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise UsageError(f"cannot parse grid {text!r}; use 'a..b[:step]' or 'a,b,c'")
-    check_observables(len(values) + 1, f"{flag} {text} at one realization per value would")
     if not values:
         raise UsageError(f"grid {text!r} is empty")
-    return tuple(values)
+    return values
 
 
 def parse_float_list(text: str):
@@ -300,7 +298,7 @@ def cmd_run(args) -> int:
             epsilon=args.epsilon,
             K=args.K,
             t_r=args.tr,
-            t_r_grid=None if trace else parse_int_grid(args.tr_grid, "--tr-grid"),
+            t_r_grid=None if trace else parse_int_grid(args.tr_grid),
             realizations=args.realizations,
             master_seed=args.seed,
             workers=args.threads,
@@ -352,11 +350,9 @@ def cmd_scaling(args) -> int:
     else:
         _require(args, ["nq-list", "epsilon-list"])
         config = ScalingConfig(
-            nq_list=[int(n) for n in parse_int_grid(args.nq_list, "--nq-list")],
+            nq_list=parse_int_grid(args.nq_list),
             epsilon_list=parse_float_list(args.epsilon_list),
-            t_r_grid=(
-                parse_int_grid(args.tr_grid, "--tr-grid") if args.tr_grid else DEFAULT_T_R_GRID
-            ),
+            t_r_grid=DEFAULT_T_R_GRID if args.tr_grid is None else parse_int_grid(args.tr_grid),
             realizations=args.realizations,
             master_seed=args.seed,
             c=args.c,

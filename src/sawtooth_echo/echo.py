@@ -48,16 +48,40 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def check_observables(snapshots: int, where: str) -> None:
-    """Refuse a run whose parent could not hold its observables: every
-    task's (eof, entropy, fidelity) rows, 24 bytes per recorded snapshot,
-    and one point's concatenated copy.  where names the run."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 24 * snapshots > memory:
+#: bytes the parent holds per record beyond its observables: a curve's
+#: grid entry, task, result block, record and CSV row, and a trace step's
+#: record and CSV row (tracemalloc at R = 1: 590-660 per grid value)
+_RECORD_BYTES = 1024
+
+
+def _processes_that_fit(config) -> int:
+    """How many echo tasks of config fit in physical memory beside what
+    the parent holds; the one memory rule, which refuses a run where none
+    fits.
+
+    A task holds TASK_BYTES_PER_AMPLITUDE * 2**n_q bytes.  The parent holds
+    24 bytes of observables per recorded snapshot (every task's rows and
+    one point's concatenated copy) and _RECORD_BYTES per record.  A grid is
+    sized with len(), so a range is refused before it is listed.
+    """
+    memory = math.prod(map(os.sysconf, ("SC_PAGE_SIZE", "SC_PHYS_PAGES")))
+    if config.t_r_grid is None:
+        records, where = 2 * (config.t_r or 0) + 1, f"t_r = {config.t_r}"
+        snapshots = 2 * records
+    else:
+        records, where = len(config.t_r_grid), f"a {len(config.t_r_grid)}-point t_r grid"
+        snapshots = records + 1
+    parent = 24 * config.realizations * snapshots + _RECORD_BYTES * records
+    # (memory - parent) // (TASK_BYTES_PER_AMPLITUDE * 2**n_q), without forming 2**n_q
+    processes = ((memory - parent) // TASK_BYTES_PER_AMPLITUDE) >> config.n_q
+    if processes < 1:
         raise ValueError(
-            f"{where} record {24 * snapshots} bytes of observables, more than "
-            f"the {memory} bytes of physical memory"
+            f"an n_q = {config.n_q} echo task ({TASK_REGISTERS} registers and phase tables, "
+            f"{TASK_BYTES_PER_AMPLITUDE} * 2**{config.n_q} bytes) beside the {parent} bytes "
+            f"that {config.realizations} realizations at {where} leave in the parent "
+            f"need more than the {memory} bytes of physical memory"
         )
+    return processes
 
 
 @dataclass(frozen=True)
@@ -80,18 +104,6 @@ class EchoConfig:
         # wider than pi only wraps the circle
         if not 0.0 <= self.epsilon <= math.pi:
             raise ValueError(f"epsilon must lie in [0, pi], got {self.epsilon}")
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        # TASK_BYTES_PER_AMPLITUDE * 2**n_q > memory, without forming 2**n_q
-        if self.n_q >= (memory // TASK_BYTES_PER_AMPLITUDE).bit_length():
-            raise ValueError(
-                f"an n_q = {self.n_q} echo task holds {TASK_REGISTERS} registers "
-                f"and its phase tables, {TASK_BYTES_PER_AMPLITUDE} * 2**{self.n_q} "
-                f"bytes, more than the {memory} bytes of physical memory"
-            )
-        # the kick phases grow as K * N: a finite K can still overflow one
-        gates = map_program(MapParams(self.n_q, self.K)).gates
-        if not all(math.isfinite(getattr(gate, "phase", 0.0)) for gate in gates):
-            raise ValueError(f"K = {self.K} overflows a gate phase of the n_q = {self.n_q} map")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.workers is not None and self.workers < 1:
@@ -100,6 +112,7 @@ class EchoConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.t_r is not None and self.t_r < 0:
             raise ValueError(f"t_r must be >= 0, got {self.t_r}")
+        _processes_that_fit(self)
         if self.t_r_grid is not None:
             grid = tuple(int(t) for t in self.t_r_grid)
             if not grid:
@@ -109,13 +122,10 @@ class EchoConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("t_r grid must be strictly increasing")
             object.__setattr__(self, "t_r_grid", grid)
-        if self.t_r_grid is None:
-            snapshots, where = 2 * (2 * (self.t_r or 0) + 1), f"t_r = {self.t_r}"
-        else:
-            snapshots, where = len(self.t_r_grid) + 1, f"a {len(self.t_r_grid)}-point t_r grid"
-        check_observables(
-            self.realizations * snapshots, f"{self.realizations} realizations at {where}"
-        )
+        # the kick phases grow as K * N: a finite K can still overflow one
+        gates = map_program(MapParams(self.n_q, self.K)).gates
+        if not all(math.isfinite(getattr(gate, "phase", 0.0)) for gate in gates):
+            raise ValueError(f"K = {self.K} overflows a gate phase of the n_q = {self.n_q} map")
 
 
 @dataclass(frozen=True)
@@ -295,12 +305,12 @@ def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
 def _run(config: EchoConfig, t_rs, record_trace: bool) -> list:
     """Records of every reversal time in t_rs, in order: one per recorded step.
 
-    The processes that run are the worker count capped at the CPUs, and the
-    split follows them: about four (reversal time, realization chunk) tasks
-    per process over the whole run, at least one per reversal time and at
-    most one per realization.
+    The processes that run are the worker count capped at the CPUs and at
+    the tasks that fit in memory, and the split follows them: about four
+    (reversal time, realization chunk) tasks per process over the whole
+    run, at least one per reversal time and at most one per realization.
     """
-    processes = min(config.workers or math.inf, _cpus())
+    processes = min(config.workers or math.inf, _cpus(), _processes_that_fit(config))
     chunks = min(config.realizations, -(-4 * processes // len(t_rs)))
     split = np.array_split(np.arange(config.realizations), chunks)
     tasks = [

@@ -416,9 +416,3 @@ class BoundProgram:
         """One application with draws uniform in [-epsilon, epsilon]; at
         epsilon = 0 they are zeros (rng still advances)."""
         self.apply(rng.uniform(-epsilon, epsilon, self.draw_count))
-
-
-def apply_program(program: GateProgram, amps: np.ndarray) -> np.ndarray:
-    """Apply the ideal program (zero draws) to amps in place and return it."""
-    BoundProgram(program, amps).apply_ideal()
-    return amps

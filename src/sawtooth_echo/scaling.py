@@ -47,6 +47,9 @@ class ScalingConfig:
 
     The per-point echo configurations are built, and so validated, at
     construction, so a bad grid point fails before any point is simulated.
+    They are built lazily from nq_list, which may be a range: an overlong
+    one stops at the first n_q whose task does not fit in memory.  t_r_grid
+    becomes the tuple the first point made of it.
     """
 
     nq_list: tuple
@@ -60,31 +63,34 @@ class ScalingConfig:
     echo_configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nq_list", tuple(int(n) for n in self.nq_list))
         object.__setattr__(
             self, "epsilon_list", tuple(float(e) for e in self.epsilon_list)
         )
-        object.__setattr__(self, "t_r_grid", tuple(int(t) for t in self.t_r_grid))
         if not self.nq_list or not self.epsilon_list:
             raise ValueError("scaling needs at least one n_q and one epsilon")
-        for name, values in (("n_q", self.nq_list), ("epsilon", self.epsilon_list)):
-            if len(set(values)) < len(values):
-                raise ValueError(f"scaling lists a repeated {name}: {values}")
+        if len(set(self.epsilon_list)) < len(self.epsilon_list):
+            raise ValueError(f"scaling lists a repeated epsilon: {self.epsilon_list}")
         _check_threshold(self.c)
-        echo_configs = tuple(
-            EchoConfig(
-                n_q=n_q,
-                epsilon=epsilon,
-                K=self.K,
-                t_r_grid=self.t_r_grid,
-                realizations=self.realizations,
-                master_seed=self.master_seed,
-                workers=self.workers,
-            )
-            for n_q in self.nq_list
-            for epsilon in self.epsilon_list
-        )
-        object.__setattr__(self, "echo_configs", echo_configs)
+        nq_list, echo_configs, grid = [], [], self.t_r_grid
+        for n_q in map(int, self.nq_list):
+            if n_q in nq_list:
+                raise ValueError(f"scaling lists a repeated n_q: {n_q}")
+            nq_list.append(n_q)
+            for epsilon in self.epsilon_list:
+                point = EchoConfig(
+                    n_q=n_q,
+                    epsilon=epsilon,
+                    K=self.K,
+                    t_r_grid=grid,
+                    realizations=self.realizations,
+                    master_seed=self.master_seed,
+                    workers=self.workers,
+                )
+                grid = point.t_r_grid
+                echo_configs.append(point)
+        object.__setattr__(self, "nq_list", tuple(nq_list))
+        object.__setattr__(self, "t_r_grid", grid)
+        object.__setattr__(self, "echo_configs", tuple(echo_configs))
 
 
 def analyze_curve(n_q: int, epsilon: float, records, c: float) -> dict:

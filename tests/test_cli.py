@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from sawtooth_echo.output import (
     load_manifest,
     manifest_path_for,
     read_records_csv,
+    records_to_rows,
     write_csv,
     write_manifest,
 )
@@ -175,19 +177,16 @@ def test_echo_curve_noiseless_is_unity(tmp_path):
 
 
 def test_grid_parsing():
-    assert cli.parse_int_grid("1..5", "--tr-grid") == (1, 2, 3, 4, 5)
-    assert cli.parse_int_grid("2..10:3", "--tr-grid") == (2, 5, 8)
-    assert cli.parse_int_grid("1,4,9", "--nq-list") == (1, 4, 9)
+    assert tuple(cli.parse_int_grid("1..5")) == (1, 2, 3, 4, 5)
+    assert tuple(cli.parse_int_grid("2..10:3")) == (2, 5, 8)
+    assert tuple(cli.parse_int_grid("1,4,9")) == (1, 4, 9)
+    # a range comes back unlisted: the configs size it before they list it
+    assert cli.parse_int_grid(f"1..{10**12}") == range(1, 10**12 + 1)
     assert cli.parse_float_list("0.01,0.02") == (0.01, 0.02)
     with pytest.raises(cli.UsageError):
-        cli.parse_int_grid("a..b", "--tr-grid")
+        cli.parse_int_grid("a..b")
     with pytest.raises(cli.UsageError):
-        cli.parse_int_grid("5..1", "--tr-grid")
-    # a range whose observables at one realization per value would not fit
-    # in physical memory is refused before it is listed
-    for flag in ("--tr-grid", "--nq-list"):
-        with pytest.raises(ValueError, match=f"{flag} 1..{10**12} .*physical memory"):
-            cli.parse_int_grid(f"1..{10**12}", flag)
+        cli.parse_int_grid("5..1")
     with pytest.raises(cli.UsageError):
         cli.parse_float_list("x")
 
@@ -196,6 +195,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli("trace", "--nq", 3) == 1  # missing required flags
     assert run_cli("trace", "--nq", 1, "--tr", 2, "--epsilon", 0, "--out", tmp_path / "x.csv") == 1
     assert run_cli("echo-curve", "--nq", 3, "--epsilon", 0.1, "--tr-grid", "9..1", "--out", tmp_path / "y.csv") == 1
+    # an empty grid is refused, not replaced by the default one
+    assert run_cli("echo-curve", "--nq", 3, "--epsilon", 0.1, "--tr-grid", "", "--out", tmp_path / "y.csv") == 1
+    assert run_cli("scaling", "--nq-list", 3, "--epsilon-list", 0.1, "--tr-grid", "", "--out", tmp_path / "s.json") == 1
     assert run_cli("nonsense") == 1
     capsys.readouterr()
 
@@ -260,9 +262,9 @@ def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
         (["scaling", "--nq-list", 4, "--epsilon-list", 0.01, "--tr-grid", "1,2,3",
           "--K", 1e308, "--realizations", 2], "K = 1e+308"),
         (["echo-curve", "--nq", 3, "--tr-grid", f"1..{10**12}", "--epsilon", 0.01,
-          "--realizations", 1], "--tr-grid"),
+          "--realizations", 1], "t_r grid"),
         (["scaling", "--nq-list", f"3..{10**12}", "--epsilon-list", 0.01, "--tr-grid", "1,2",
-          "--realizations", 1], "--nq-list"),
+          "--realizations", 1], "n_q = "),
     ],
 )
 def test_huge_inputs_exit_one_before_any_task(tmp_path, capsys, monkeypatch, args, named):
@@ -274,6 +276,96 @@ def test_huge_inputs_exit_one_before_any_task(tmp_path, capsys, monkeypatch, arg
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and named in err
+
+
+def test_overlong_range_grid_exits_one_under_an_address_space_limit(tmp_path):
+    # a range once passed the observables rule, 24 bytes per value, while
+    # its tuple costs about 40: under a 1.5 GB limit a 5e7-point grid ended
+    # in a MemoryError traceback.  A grid is now sized before it is listed,
+    # by a rule that counts every byte the parent holds per value
+    resource = pytest.importorskip("resource")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    length = max(50_000_000, memory // echo._RECORD_BYTES + 1)
+    limit = 1_500_000 * 1024
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "sawtooth_echo", "echo-curve", "--nq", "3", "--epsilon", "0.01",
+         "--tr-grid", f"1..{length}", "--realizations", "1", "--threads", "1",
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert f"a {length}-point t_r grid" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_bytes_cover_the_parents_peak_per_grid_value(monkeypatch):
+    # with each task's work stubbed out, the parent's peak over a long curve
+    # (the grid tuple, tasks, result blocks, records and CSV rows) stays
+    # within the bytes per grid value that the memory rule counts
+    monkeypatch.setattr(echo, "_echo_block", lambda task: np.zeros((task[3], 1, 3)))
+    length = 10_000
+    tracemalloc.start()
+    try:
+        config = EchoConfig(
+            n_q=3, epsilon=0.01, t_r_grid=range(1, length + 1), realizations=1, workers=1
+        )
+        rows = records_to_rows(echo.run_echo_curve(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == length
+    assert peak <= echo._RECORD_BYTES * length
+
+
+class _Admitted(Exception):
+    """Raised in place of the first task: the run was admitted."""
+
+
+_SIZE_BASE = {
+    "trace": {"--nq": 3, "--tr": 2, "--epsilon": 0.01, "--realizations": 2, "--threads": 1},
+    "echo-curve": {
+        "--nq": 3, "--tr-grid": "1,2", "--epsilon": 0.01, "--realizations": 2, "--threads": 1,
+    },
+    "scaling": {
+        "--nq-list": 3, "--epsilon-list": 0.01, "--tr-grid": "1,2", "--realizations": 2,
+        "--threads": 1,
+    },
+}
+_SIZE_VALUES = ["0", "-1", str(2**63), str(10**12), "", "a"]
+_SIZE_CASES = [
+    (command, flag, value)
+    for command, base in _SIZE_BASE.items()
+    for flag in ("--nq", "--tr", "--tr-grid", "--nq-list", "--realizations", "--threads")
+    if flag in base
+    for value in _SIZE_VALUES + (["1..", f"1..{10**12}"] if "grid" in flag or "list" in flag else [])
+]
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), _SIZE_CASES)
+def test_size_flags_are_admitted_or_refused_in_one_line(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    # every flag the memory rule reads, at hostile values: the run reaches
+    # its first task, or exits 1 with one line, no traceback and no file
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(echo, "_scatter", admitted)
+    options = {**_SIZE_BASE[command], flag: value}
+    args = [command, *(a for item in options.items() for a in item), "--out", tmp_path / "x.csv"]
+    try:
+        code = run_cli(*args)
+    except _Admitted:
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("nq_list", ["6,1", "6,40", "6,6"])

@@ -232,6 +232,22 @@ def test_workers_above_the_cpus_run_the_tasks_of_the_cpus(monkeypatch):
     assert pool.sizes == [2, 2]
 
 
+def test_processes_never_outgrow_the_memory_of_their_tasks(monkeypatch):
+    # every process binds its own registers: 2 MiB holds two n_q = 14 echo
+    # tasks (56 * 2**14 bytes each) but one n_q = 15 task, which then runs
+    # without a pool, whatever the CPUs
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (2 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(echo, "_cpus", lambda: 2)
+    pool = InlinePool()
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", pool)
+    for n_q in (14, 15):
+        config = dict(n_q=n_q, epsilon=0.02, t_r=1, realizations=2, master_seed=8)
+        records = run_trace(EchoConfig(**config, workers=2))
+        assert records == run_trace(EchoConfig(**config, workers=1))
+    assert pool.sizes == [2]
+
+
 def test_curve_records_independent_of_chunking(monkeypatch):
     # 14 realizations: at 2 and 3 processes the chunk count does not divide R
     monkeypatch.setattr(echo, "_cpus", lambda: 3)
@@ -378,6 +394,11 @@ def test_config_validation():
         EchoConfig(n_q=4, epsilon=0.01, t_r=10**13, realizations=2)
     with pytest.raises(ValueError, match="physical memory"):
         EchoConfig(n_q=4, epsilon=0.01, t_r_grid=(1, 2), realizations=10**14)
+    # and a range whose records would not fit, before it is listed
+    with pytest.raises(ValueError, match="physical memory"):
+        EchoConfig(n_q=3, epsilon=0.01, t_r_grid=range(1, 10**12 + 1), realizations=1)
+    with pytest.raises(ValueError, match="physical memory"):
+        ScalingConfig(nq_list=range(3, 10**12 + 1), epsilon_list=(0.01,), t_r_grid=(1, 2))
     with pytest.raises(ValueError):
         EchoConfig(n_q=3, epsilon=0.1, t_r=3, realizations=0)
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from sawtooth_echo import (
     Hadamard,
     MapParams,
     PhaseShift,
-    apply_program,
     bit_reversal_permutation,
     dft_matrix,
     fidelity,
@@ -37,7 +36,7 @@ def test_zero_noise_reproduces_ideal_bit_for_bit():
     program = map_program(MapParams(5, 5.0))
     ideal = random_state(5, rng)
     noisy = ideal.copy()
-    apply_program(program, ideal.amps)
+    BoundProgram(program, ideal.amps).apply_ideal()
     BoundProgram(program, noisy.amps).apply_noisy(realization_rng(3, 0, 0), 0.0)
     np.testing.assert_array_equal(noisy.amps, ideal.amps)
 
@@ -106,7 +105,7 @@ def test_single_noisy_iteration_fidelity_bound():
     for r in range(draws):
         state = random_state(n_q, rng)
         reference = state.copy()
-        apply_program(program, reference.amps)
+        BoundProgram(program, reference.amps).apply_ideal()
         BoundProgram(program, state.amps).apply_noisy(realization_rng(17, 0, r), epsilon)
         total += fidelity(state, reference)
     mean_fidelity = total / draws

@@ -7,12 +7,12 @@ import pytest
 
 from helpers import random_state
 from sawtooth_echo import (
+    BoundProgram,
     ControlledPhase,
     GateProgram,
     Hadamard,
     MapParams,
     PhaseShift,
-    apply_program,
     bit_reversal_permutation,
     free_rotation_program,
     gates_per_iteration,
@@ -93,8 +93,8 @@ def test_qft_roundtrip_on_random_states():
     for _ in range(5):
         state = random_state(6, rng)
         before = state.amps.copy()
-        apply_program(forward, state.amps)
-        apply_program(backward, state.amps)
+        BoundProgram(forward, state.amps).apply_ideal()
+        BoundProgram(backward, state.amps).apply_ideal()
         assert np.abs(state.amps - before).max() < 1e-12
 
 
@@ -139,8 +139,8 @@ def test_forward_backward_is_identity():
         backward = forward.inverse()
         state = random_state(n_q, rng)
         before = state.amps.copy()
-        apply_program(forward, state.amps)
-        apply_program(backward, state.amps)
+        BoundProgram(forward, state.amps).apply_ideal()
+        BoundProgram(backward, state.amps).apply_ideal()
         assert np.abs(state.amps - before).max() < 1e-11
 
 

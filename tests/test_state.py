@@ -1,8 +1,8 @@
 """Gate kernels against explicit dense matrices, partial trace, fidelity.
 
-Each gate kernel is exercised as a one-gate GateProgram through
-apply_program on a register's amplitudes, which runs the engine's noisy
-kernels at zero draws.
+Each gate kernel is exercised as a one-gate GateProgram bound to a
+register's amplitudes and applied with BoundProgram.apply_ideal, which runs
+the engine's noisy kernels at zero draws.
 """
 
 import math
@@ -19,12 +19,12 @@ from helpers import (
     random_state,
 )
 from sawtooth_echo import (
+    BoundProgram,
     ControlledPhase,
     GateProgram,
     Hadamard,
     PhaseShift,
     StateVector,
-    apply_program,
     bit_reversal_permutation,
     fidelity,
     partial_trace_12,
@@ -36,7 +36,7 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 def run(state, *gates):
     """Apply the gates, as one program, to the state in place."""
-    apply_program(GateProgram(state.n_q, gates), state.amps)
+    BoundProgram(GateProgram(state.n_q, gates), state.amps).apply_ideal()
 
 
 def test_identity_leaves_state_unchanged():
@@ -126,7 +126,7 @@ def test_gate_input_validation():
     with pytest.raises(ValueError):
         run(state, ControlledPhase(1, 5, 0.5))
     with pytest.raises(ValueError):
-        apply_program(GateProgram(4, (Hadamard(1),)), state.amps)
+        BoundProgram(GateProgram(4, (Hadamard(1),)), state.amps).apply_ideal()
 
 
 def test_bit_reversal_permutation_involution():
