@@ -69,8 +69,8 @@ def _processes_that_fit(config) -> int:
         records, where = 2 * (config.t_r or 0) + 1, f"t_r = {config.t_r}"
         snapshots = 2 * records
     else:
-        records, where = len(config.t_r_grid), f"a {len(config.t_r_grid)}-point t_r grid"
-        snapshots = records + 1
+        records = len(config.t_r_grid)
+        snapshots, where = records + 1, f"a {records}-point t_r grid"
     parent = 24 * config.realizations * snapshots + _RECORD_BYTES * records
     # (memory - parent) // (TASK_BYTES_PER_AMPLITUDE * 2**n_q), without forming 2**n_q
     processes = ((memory - parent) // TASK_BYTES_PER_AMPLITUDE) >> config.n_q

@@ -279,10 +279,10 @@ def test_huge_inputs_exit_one_before_any_task(tmp_path, capsys, monkeypatch, arg
 
 
 def test_overlong_range_grid_exits_one_under_an_address_space_limit(tmp_path):
-    # a range once passed the observables rule, 24 bytes per value, while
-    # its tuple costs about 40: under a 1.5 GB limit a 5e7-point grid ended
-    # in a MemoryError traceback.  A grid is now sized before it is listed,
-    # by a rule that counts every byte the parent holds per value
+    # listing a 5e7-point grid takes about 40 bytes per value, more than a
+    # 1.5 GB address space holds, though its observables (24 bytes per
+    # value) fit in physical memory: the rule counts every byte the parent
+    # holds per value and refuses the grid before anything lists it
     resource = pytest.importorskip("resource")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     length = max(50_000_000, memory // echo._RECORD_BYTES + 1)
