@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .echo import EchoConfig, run_echo_curve, run_trace
+from .echo import EchoConfig, check_point, run_echo_curve, run_trace
 from .output import (
     CURVE_HEADER,
     TRACE_HEADER,
@@ -245,6 +245,13 @@ def _base_manifest(command: str, config: EchoConfig, csv_path: Path) -> dict:
     return manifest
 
 
+def _write_run(command: str, config: EchoConfig, out: Path, records) -> None:
+    """The one writer of a run: command's CSV at out, its manifest beside it."""
+    header = TRACE_HEADER if command == "trace" else CURVE_HEADER
+    write_csv(out, header, records_to_rows(records))
+    write_manifest(manifest_path_for(out), _base_manifest(command, config, out))
+
+
 def _check_out(out: Path) -> None:
     """Refuse an --out that cannot be written, before any simulation or
     directory creation: an existing directory, or a missing parent."""
@@ -305,19 +312,17 @@ def cmd_run(args) -> int:
         )
         out = args.out
     _check_out(out)
-    if trace:
-        records, header = run_trace(config), TRACE_HEADER
-    else:
-        records, header = run_echo_curve(config), CURVE_HEADER
-    write_csv(out, header, records_to_rows(records))
-    write_manifest(manifest_path_for(out), _base_manifest(args.command, config, out))
+    records = run_trace(config) if trace else run_echo_curve(config)
+    _write_run(args.command, config, out, records)
     print(f"wrote {len(records)} rows -> {out}")
     return EXIT_OK
 
 
 def _load_curves(paths):
-    """(n_q, epsilon, records) of each echo-curve CSV; each grid point once."""
-    curves = {}  # (n_q, epsilon) -> (CSV path, records)
+    """Yield (n_q, epsilon, records) of each echo-curve CSV, one file at a
+    time as the fit asks for it; each grid point once, and each inside the
+    echo protocol's domain (echo.check_point)."""
+    seen = {}  # (n_q, epsilon) -> CSV path
     for csv_path in paths:
         manifest_path = manifest_path_for(csv_path)
         manifest = load_manifest(manifest_path)
@@ -325,13 +330,17 @@ def _load_curves(paths):
             raise UsageError(f"{csv_path}: manifest is not an echo-curve record")
         n_q = _manifest_entry(manifest, manifest_path, "n_q")
         epsilon = _manifest_entry(manifest, manifest_path, "epsilon")
-        if (n_q, epsilon) in curves:
+        try:
+            check_point(n_q, epsilon)
+        except ValueError as exc:
+            raise UsageError(f"{manifest_path}: {exc}")
+        if (n_q, epsilon) in seen:
             raise UsageError(
-                f"{curves[n_q, epsilon][0]} and {csv_path} both record "
+                f"{seen[n_q, epsilon]} and {csv_path} both record "
                 f"n_q = {n_q}, epsilon = {epsilon!r}"
             )
-        curves[n_q, epsilon] = csv_path, read_records_csv(csv_path)
-    return [(n_q, epsilon, records) for (n_q, epsilon), (_, records) in curves.items()]
+        seen[n_q, epsilon] = csv_path
+        yield n_q, epsilon, read_records_csv(csv_path)
 
 
 def cmd_scaling(args) -> int:
@@ -346,7 +355,6 @@ def cmd_scaling(args) -> int:
         _check_out(args.out)
         summary = summarize_curves(_load_curves(args.from_csv), c=args.c)
         summary["source"] = [str(p) for p in args.from_csv]
-        curve_files = None
     else:
         _require(args, ["nq-list", "epsilon-list"])
         config = ScalingConfig(
@@ -364,26 +372,21 @@ def cmd_scaling(args) -> int:
         _check_out(args.out)
         curves_dir = args.curves_dir or args.out.parent / (args.out.stem + "_curves")
         curves_dir.mkdir(parents=True, exist_ok=True)
-        summary, curves = run_scaling(config)
         curve_files = []
-        for point, (n_q, epsilon, records) in zip(config.echo_configs, curves):
-            csv_path = curves_dir / f"echo_nq{n_q}_eps{epsilon!r}.csv"
-            write_csv(csv_path, CURVE_HEADER, records_to_rows(records))
-            manifest = _base_manifest("echo-curve", point, csv_path)
-            write_manifest(manifest_path_for(csv_path), manifest)
+
+        def write_curve(point, records):
+            csv_path = curves_dir / f"echo_nq{point.n_q}_eps{point.epsilon!r}.csv"
+            _write_run("echo-curve", point, csv_path, records)
             curve_files.append(str(csv_path))
-        summary["config"] = {
-            "nq_list": list(config.nq_list),
-            "epsilon_list": list(config.epsilon_list),
-            "t_r_grid": list(config.t_r_grid),
-            "realizations": config.realizations,
-            "master_seed": config.master_seed,
-            "K": config.K,
+
+        summary = run_scaling(config, write_curve)
+        summary["curve_files"] = curve_files
+        summary["config"] = {  # tuples, which JSON writes as lists
+            key: getattr(config, key)
+            for key in ("nq_list", "epsilon_list", "t_r_grid", "realizations", "master_seed", "K")
         }
     summary["version"] = __version__
     summary["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if curve_files is not None:
-        summary["curve_files"] = curve_files
     write_manifest(args.out, summary)
     constants = summary["constants"]
     print(f"wrote scaling summary -> {args.out}")

@@ -21,6 +21,7 @@ public initial_state, partial_trace_12 and fidelity.
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -84,6 +85,20 @@ def _processes_that_fit(config) -> int:
     return processes
 
 
+def check_point(n_q: int, epsilon: float) -> None:
+    """Refuse an (n_q, epsilon) point outside the echo protocol: n_q from 2
+    up to where 2**n_q is still a float, and epsilon in [0, pi], NaN
+    refused.  EchoConfig applies it, and so does a fit of recorded curves."""
+    # the map's period T = 2 pi / 2**n_q and the fit's ergodic entropy
+    # reference take 2**n_q as a float
+    if not 2 <= n_q < sys.float_info.max_exp:
+        raise ValueError(f"echo protocol needs 2 <= n_q < {sys.float_info.max_exp}, got {n_q}")
+    # the draws are angles (a Hadamard tilt and phase errors): a range
+    # wider than pi only wraps the circle
+    if not 0.0 <= epsilon <= math.pi:
+        raise ValueError(f"epsilon must lie in [0, pi], got {epsilon}")
+
+
 @dataclass(frozen=True)
 class EchoConfig:
     """Parameters of one echo experiment (trace or echo-curve mode)."""
@@ -98,12 +113,7 @@ class EchoConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if self.n_q < 2:
-            raise ValueError(f"echo protocol needs n_q >= 2, got {self.n_q}")
-        # the draws are angles (a Hadamard tilt and phase errors): a range
-        # wider than pi only wraps the circle
-        if not 0.0 <= self.epsilon <= math.pi:
-            raise ValueError(f"epsilon must lie in [0, pi], got {self.epsilon}")
+        check_point(self.n_q, self.epsilon)
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.workers is not None and self.workers < 1:

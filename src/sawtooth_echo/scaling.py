@@ -128,8 +128,9 @@ def analyze_curve(n_q: int, epsilon: float, records, c: float) -> dict:
     try:
         rate = fidelity_rate([(r.t, r.f_mean) for r in records]).params["rate"]
         point["fidelity_decay_rate"] = rate
-        if epsilon > 0.0:
-            point["C_hat"] = rate / (epsilon**2 * point["n_g_per_iteration"])
+        # a positive epsilon below ~1e-162 still squares to 0
+        if (scale := epsilon**2 * point["n_g_per_iteration"]) > 0.0:
+            point["C_hat"] = rate / scale
         if point["gamma"] is not None and rate > 0.0:
             point["gamma_over_fidelity_rate"] = point["gamma"] / rate
     except ValueError as exc:
@@ -187,9 +188,9 @@ def summarize_points(points, c: float) -> dict:
         if p["t_e_star"] is not None and p["epsilon"] > 0.0
     )
     b_hat = _geometric_mean(
-        p["gamma"] / (p["epsilon"] ** 2 * p["n_q"] ** 2)
+        p["gamma"] / scale
         for p in points
-        if p["gamma"] is not None and p["epsilon"] > 0.0
+        if p["gamma"] is not None and (scale := p["epsilon"] ** 2 * p["n_q"] ** 2) > 0.0
     )
     c_hat = _geometric_mean(p["C_hat"] for p in points)
     constants = {
@@ -215,21 +216,33 @@ def summarize_points(points, c: float) -> dict:
     }
 
 
-def run_scaling(config: ScalingConfig):
-    """Simulate the Cartesian grid; returns (summary dict, per-point curves).
+def run_scaling(config: ScalingConfig, write_curve) -> dict:
+    """Simulate the grid one point at a time and return its summary.
 
-    Curves come back as (n_q, epsilon, records) so callers can persist them.
+    Each point's records go to write_curve(point, records), point being its
+    EchoConfig, as soon as the point ends; summarize_curves then fits them,
+    and they are dropped before the next point starts.  So the parent holds
+    one point's records at a time, as the memory rule counts them, and a run
+    that fails part-way has written every point that ended.
     """
-    curves = [
-        (point.n_q, point.epsilon, run_echo_curve(point)) for point in config.echo_configs
-    ]
-    return summarize_curves(curves, config.c), curves
+
+    def simulated(point):
+        records = run_echo_curve(point)
+        write_curve(point, records)
+        return point.n_q, point.epsilon, records
+
+    return summarize_curves(map(simulated, config.echo_configs), config.c)
 
 
 def summarize_curves(curves, c: float) -> dict:
-    """Fit echo curves, simulated or replayed from CSV files."""
+    """Fit (n_q, epsilon, records) echo curves, simulated or replayed from
+    CSV files: the one place that turns curves into a summary.
+
+    curves is read lazily, and each curve is reduced to its point by
+    analyze_curve and dropped before the next one is read.
+    """
     _check_threshold(c)
-    points = [
-        analyze_curve(n_q, epsilon, records, c) for n_q, epsilon, records in curves
-    ]
+    # map keeps no curve between calls, as a loop variable would while the
+    # next curve is read or simulated
+    points = list(map(lambda curve: analyze_curve(*curve, c), curves))
     return summarize_points(points, c)

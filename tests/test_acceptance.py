@@ -62,30 +62,30 @@ def saturation_runs():
 
 @pytest.fixture(scope="module")
 def epsilon_sweep():
-    summary, _ = run_scaling(
+    return run_scaling(
         ScalingConfig(
             nq_list=(6,),
             epsilon_list=(0.01, 0.015, 0.02, 0.03, 0.04),
             t_r_grid=EPS_SWEEP_GRID,
             realizations=200,
             master_seed=20260808,
-        )
+        ),
+        write_curve=lambda point, records: None,
     )
-    return summary
 
 
 @pytest.fixture(scope="module")
 def nq_sweep():
-    summary, _ = run_scaling(
+    return run_scaling(
         ScalingConfig(
             nq_list=(4, 5, 6, 7, 8),
             epsilon_list=(0.02,),
             t_r_grid=NQ_SWEEP_GRID,
             realizations=200,
             master_seed=20260809,
-        )
+        ),
+        write_curve=lambda point, records: None,
     )
-    return summary
 
 
 def test_criterion_1_gate_program_matches_oracle():

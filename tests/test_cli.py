@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -202,22 +203,55 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_non_finite_parameters_exit_one(tmp_path, capsys, value):
-    out = tmp_path / "x.csv"
-    assert run_cli(*trace_args(out, epsilon=value)) == 1
-    assert run_cli(*trace_args(out, K=value)) == 1
-    assert run_cli("echo-curve", "--nq", 3, "--epsilon", value, "--out", out) == 1
-    scaling = ["scaling", "--nq-list", "3", "--tr-grid", "1,2", "--out", tmp_path / "s.json"]
-    assert run_cli(*scaling, "--epsilon-list", f"0.01,{value}") == 1
-    assert run_cli(*scaling, "--epsilon-list", "0.01", "--K", value) == 1
-    assert run_cli(*scaling, "--epsilon-list", "0.01", "--c", value) == 1
-    csv_path = synth_curve_files(
-        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
-    )
-    assert run_cli("scaling", "--from-csv", csv_path, "--c", value, "--out", scaling[-1]) == 1
-    assert not out.exists() and not scaling[-1].exists()
-    assert "error:" in capsys.readouterr().err
+_FLOAT_BASE = {
+    "trace": {"--nq": 3, "--tr": 2, "--epsilon": 0.02, "--K": 5.0},
+    "echo-curve": {"--nq": 3, "--tr-grid": "1,2", "--epsilon": 0.02, "--K": 5.0},
+    "scaling": {"--nq-list": 3, "--tr-grid": "1,2", "--epsilon-list": 0.01, "--K": 5.0, "--c": 0.9},
+    "from-csv": {"--c": 0.9},
+}
+_FLOAT_VALUES = ["0", "-1", "1e308", "-1e308", "inf", "-inf", "nan", "1e-320", "", "a"]
+#: the values each flag admits; the scaling run takes "0.01,<value>" as its
+#: --epsilon-list, so an empty value leaves the list "0.01,"
+_FLOAT_ADMITTED = {
+    "--epsilon": {"0", "1e-320"},
+    "--K": {"0", "-1", "1e-320"},
+    "--c": {"1e-320"},
+    "--epsilon-list": {"0", "1e-320", ""},
+}
+_FLOAT_CASES = [
+    (command, flag, value)
+    for command, base in _FLOAT_BASE.items()
+    for flag in _FLOAT_ADMITTED
+    if flag in base
+    for value in _FLOAT_VALUES
+]
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), _FLOAT_CASES)
+def test_float_flags_run_or_exit_one_in_one_line(tmp_path, capsys, command, flag, value):
+    # every float flag at hostile values: the run ends in exit 0, or in exit
+    # 1 with one line, no traceback and no file.  An infinite or NaN value
+    # was once admitted, and a positive epsilon whose square underflows to 0
+    # once ended a finished scaling run in a ZeroDivisionError
+    before = []
+    options = dict(_FLOAT_BASE[command])
+    if command == "from-csv":
+        csv_path = synth_curve_files(
+            tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+        )
+        before = sorted(tmp_path.iterdir())
+        command, options = "scaling", {"--from-csv": csv_path, **options}
+    else:
+        options.update({"--realizations": 2, "--threads": 1})
+    options[flag] = f"0.01,{value}" if flag == "--epsilon-list" else value
+    out = tmp_path / ("s.json" if command == "scaling" else "x.csv")
+    code = run_cli(command, *(f"{k}={v}" for k, v in options.items()), "--out", out)
+    err = capsys.readouterr().err
+    assert code == (0 if value in _FLOAT_ADMITTED[flag] else 1)
+    assert err.count("\n") == code and "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -306,20 +340,39 @@ def test_overlong_range_grid_exits_one_under_an_address_space_limit(tmp_path):
 def test_record_bytes_cover_the_parents_peak_per_grid_value(monkeypatch):
     # with each task's work stubbed out, the parent's peak over a long curve
     # (the grid tuple, tasks, result blocks, records and CSV rows) stays
-    # within the bytes per grid value that the memory rule counts
+    # within the bytes per grid value that the memory rule counts.  A
+    # scaling run holds one point's records at a time, so four points peak
+    # near where one does; holding them all once took 1609 bytes per value
     monkeypatch.setattr(echo, "_echo_block", lambda task: np.zeros((task[3], 1, 3)))
     length = 10_000
-    tracemalloc.start()
-    try:
-        config = EchoConfig(
-            n_q=3, epsilon=0.01, t_r_grid=range(1, length + 1), realizations=1, workers=1
+    grid = range(1, length + 1)
+    rows = []
+
+    def write_curve(point, records):
+        rows.append(len(records_to_rows(records)))
+
+    def peak_of(run, *args):
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def curve():
+        config = EchoConfig(n_q=3, epsilon=0.01, t_r_grid=grid, realizations=1, workers=1)
+        write_curve(config, echo.run_echo_curve(config))
+
+    def sweep():
+        config = scaling.ScalingConfig(
+            nq_list=range(3, 7), epsilon_list=(0.01,), t_r_grid=grid, realizations=1, workers=1
         )
-        rows = records_to_rows(echo.run_echo_curve(config))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == length
-    assert peak <= echo._RECORD_BYTES * length
+        scaling.run_scaling(config, write_curve)
+
+    one, four = peak_of(curve), peak_of(sweep)
+    assert rows == [length] * 5
+    assert max(one, four) <= echo._RECORD_BYTES * length
+    assert four < 1.25 * one
 
 
 class _Admitted(Exception):
@@ -589,15 +642,27 @@ def test_scaling_from_csv_recovers_synthesis(tmp_path):
 
 
 def test_scaling_from_csv_names_bad_manifest_entry(tmp_path, capsys):
+    # an unreadable entry is named; a point outside the echo protocol's
+    # domain, as EchoConfig applies it, is refused with its manifest named.
+    # An epsilon of 1e308 and an n_q whose 2**n_q is no float once ended in
+    # an OverflowError traceback, and the other points in fitted nonsense
     csv_path = synth_curve_files(
         tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
     )
-    manifest = load_manifest(manifest_path_for(csv_path))
+    manifest_path = manifest_path_for(csv_path)
+    manifest = load_manifest(manifest_path)
     out = tmp_path / "summary.json"
-    for key, value in (("n_q", None), ("n_q", 6.5), ("n_q", "6"), ("epsilon", "0.02")):
-        write_manifest(manifest_path_for(csv_path), {**manifest, key: value})
+    unreadable = [("n_q", None), ("n_q", 6.5), ("n_q", "6"), ("epsilon", "0.02")]
+    outside = [("n_q", -3), ("n_q", 1024), ("n_q", 3000)] + [
+        ("epsilon", value) for value in (1e308, -1e308, math.inf, math.nan)
+    ]
+    for key, value in unreadable + outside:
+        write_manifest(manifest_path, {**manifest, key: value})
         assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {manifest_path}: ")
+        named = "[0, pi]" if key == "epsilon" else f"2 <= n_q < {sys.float_info.max_exp}"
+        assert (repr(key) if (key, value) in unreadable else named) in err
         assert not out.exists()
 
 
@@ -757,6 +822,47 @@ def test_scaling_missing_out_dir_exits_three_before_simulating(tmp_path):
     assert run_cli(*scaling_args, "--out", out) == 0
     assert out.exists()
     assert len(list((out.parent / "s_curves").glob("*.csv"))) == 2
+
+
+def test_scaling_writes_each_curve_as_its_point_ends(tmp_path, monkeypatch):
+    # a run that fails at its third point leaves the first two curves and
+    # manifests, byte for byte as a full run writes them, and no summary
+    class Clock:
+        @staticmethod
+        def now(tz):
+            return datetime(2026, 1, 1, tzinfo=tz)
+
+    class Failure(Exception):
+        pass
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    args = (
+        "scaling", "--nq-list", "3,4", "--epsilon-list", "0.02,0.04", "--tr-grid", "1..4",
+        "--realizations", 2, "--seed", 7, "--threads", 1,
+    )
+    full = tmp_path / "full" / "s.json"
+    assert run_cli(*args, "--out", full) == 0
+    curve_files = [Path(p) for p in json.loads(full.read_text())["curve_files"]]
+    assert len(curve_files) == 4
+    run_echo_curve, points = scaling.run_echo_curve, []
+
+    def fail_at_third(config):
+        points.append(config)
+        if len(points) == 3:
+            raise Failure
+        return run_echo_curve(config)
+
+    monkeypatch.setattr(scaling, "run_echo_curve", fail_at_third)
+    cut = tmp_path / "cut" / "s.json"
+    with pytest.raises(Failure):
+        run_cli(*args, "--out", cut)
+    assert not cut.exists()
+    kept = [f for path in curve_files[:2] for f in (path, manifest_path_for(path))]
+    assert sorted(p.name for p in (cut.parent / "s_curves").iterdir()) == sorted(
+        p.name for p in kept
+    )
+    for path in kept:
+        assert (cut.parent / "s_curves" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_scaling_simulation_writes_curves_and_summary(tmp_path):

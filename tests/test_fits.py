@@ -14,6 +14,7 @@ from sawtooth_echo import (
     fidelity_rate,
     gates_per_iteration,
     power_law_fit,
+    summarize_points,
     threshold_time,
 )
 
@@ -223,3 +224,25 @@ def test_analyze_curve_returns_the_summary_point():
     # crossing before the first grid point still resolves
     early = analyze_curve(n_q, epsilon, [EchoRecord(2, 0.85, 0, 0, 0, 1, 0)], c=0.9)
     assert early["t_e_star"] == pytest.approx(2.0 * 0.1 / 0.15, abs=1e-12)
+
+
+def test_epsilon_whose_square_underflows_gets_no_constant():
+    # 1e-200 is a valid epsilon whose square is 0.0: its point gets C_hat =
+    # null and the pooled constants skip it, as at epsilon = 0, instead of a
+    # ZeroDivisionError after the whole simulation
+    n_q, epsilon, gamma, rate = 6, 1e-200, 0.05, 0.012
+    s_inf = ergodic_entropy_reference(1 << n_q)
+    records = [
+        EchoRecord(
+            t, 0.98 - 0.013 * t, 0.0, s_inf * (1.0 - math.exp(-gamma * t)), 0.0,
+            math.exp(-rate * t), 0.0,
+        )
+        for t in range(0, 42, 2)
+    ]
+    assert epsilon > 0.0 and epsilon**2 == 0.0
+    point = analyze_curve(n_q, epsilon, records, c=0.9)
+    assert point["gamma"] == pytest.approx(gamma, abs=1e-12)
+    assert point["fidelity_decay_rate"] == pytest.approx(rate, abs=1e-12)
+    assert point["t_e_star"] is not None and point["C_hat"] is None
+    constants = summarize_points([point], c=0.9)["constants"]
+    assert (constants["A_hat"], constants["B_hat"], constants["C_hat"]) == (None, None, None)
