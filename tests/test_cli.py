@@ -342,7 +342,8 @@ def test_record_bytes_cover_the_parents_peak_per_grid_value(monkeypatch):
     # (the grid tuple, tasks, result blocks, records and CSV rows) stays
     # within the bytes per grid value that the memory rule counts.  A
     # scaling run holds one point's records at a time, so four points peak
-    # near where one does; holding them all once took 1609 bytes per value
+    # near where one does (holding every point's records peaks at about 2.6
+    # times the one-point peak, and keeping the previous one alive at 1.6)
     monkeypatch.setattr(echo, "_echo_block", lambda task: np.zeros((task[3], 1, 3)))
     length = 10_000
     grid = range(1, length + 1)
@@ -351,10 +352,10 @@ def test_record_bytes_cover_the_parents_peak_per_grid_value(monkeypatch):
     def write_curve(point, records):
         rows.append(len(records_to_rows(records)))
 
-    def peak_of(run, *args):
+    def peak_of(run):
         tracemalloc.start()
         try:
-            run(*args)
+            run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
