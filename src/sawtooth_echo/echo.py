@@ -124,7 +124,10 @@ class EchoConfig:
             raise ValueError(f"t_r must be >= 0, got {self.t_r}")
         _processes_that_fit(self)
         if self.t_r_grid is not None:
-            grid = tuple(int(t) for t in self.t_r_grid)
+            grid = self.t_r_grid
+            # a tuple of ints is kept, so the points of a scaling run share one
+            if type(grid) is not tuple or not all(type(t) is int for t in grid):
+                grid = tuple(int(t) for t in grid)
             if not grid:
                 raise ValueError("t_r grid must be nonempty")
             if any(t < 0 for t in grid):

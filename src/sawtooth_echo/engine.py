@@ -14,27 +14,31 @@ every application including backward evolution):
 
 A program compiles into two op kinds: each Hadamard, and one fused
 diagonal for each maximal run of phase-type gates between Hadamards (a map
-iteration has 4*n_q ops).  Each op has one kernel, a function of its
-draws, that writes out of place into the other of two buffers.  A
-diagonal's phase has one representation, its coefficients in the slots of
-a high x low grid of bit features (see _compile_diagonal), with two ways
-to evaluate it, and every diagonal ends in the same multiply by its factor
-exp(i * phase).  A diagonal whose phase matrix fits _DENSE_PHASE_BYTES has
-its phases evaluated by the bound program before the ops run: one matmul
-per such op into one phase buffer, then one cos and one sin for all of
-them into one factor buffer; a larger diagonal evaluates its own phases
-and factor in a region of the same two buffers, so applying a program
-allocates no table.  A program's inverse binds to the same buffers (see
-BoundProgram).  Draws are consumed in program order from the caller's
-generator, one uniform vector per application; the echo protocol passes
-each realization's own stream (echo.realization_rng), so a fixed (master
-seed, reversal time, realization) triple reproduces every amplitude
-bit-for-bit.  The ideal program is the same ops with zero draws.
+iteration has 4*n_q ops).  Each op writes out of place into the other of
+two buffers.  A diagonal's phase has one representation, its coefficients
+in the slots of a high x low grid of bit features (see _compile_diagonal),
+with two ways to evaluate it, and every diagonal ends in the same multiply
+by its factor exp(i * phase).  Before the ops run, the bound program
+evaluates one stage: the phases of every diagonal whose phase matrix fits
+_DENSE_PHASE_BYTES, grouped by the matrix's shape into one batched matmul
+per group, and every Hadamard's tilt angle, all in one phase buffer; then
+one add of the ideal phases (pi/4 for a tilt), one cos and one sin for all
+of them into one factor buffer, from which the Hadamards' rotations are
+filled.  So each Hadamard and each dense diagonal is one prebound numpy
+call.  A larger diagonal evaluates its own phases and factor in a region
+of the same two buffers, so applying a program allocates no table.  A
+program's inverse binds to the same buffers (see BoundProgram).  Draws are
+consumed in program order from the caller's generator, one uniform vector
+per application; the echo protocol passes each realization's own stream
+(echo.realization_rng), so a fixed (master seed, reversal time,
+realization) triple reproduces every amplitude bit-for-bit.  The ideal
+program is the same ops with zero draws.
 """
 
 import math
 from functools import lru_cache, partial
 from itertools import combinations, groupby
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -45,17 +49,20 @@ from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
 #: Targets whose block stride L = 2 * 2**(n_q - t) floats is at most this
 #: rotate through one (rows, 2L) @ kron(M^T, I_L) product; wider targets
 #: through the batched M @ (blocks, 2, L) product.  The batched 2x2 matmul
-#: pays per block, so it loses once blocks are short.  One application,
+#: pays per block, so it loses once blocks are short.  One prebound matmul,
 #: kron/batched in us (best of 3 x 15 interleaved rounds,
 #: OPENBLAS_NUM_THREADS=1, a 2-CPU Intel Xeon host):
 #:
 #:     L   n_q = 4    5          6          8          10         12
-#:     16  2.68/2.20  2.72/2.22  2.70/2.24  3.28/2.88  5.52/5.23  11.84/12.29
-#:     8   2.37/2.08  2.50/2.23  2.48/2.48  2.97/3.49  3.96/6.96  8.05/20.74
-#:     2   2.26/2.40  2.43/2.88  2.30/3.25  2.71/6.54  3.51/19.07 7.11/69.55
+#:     16  1.13/1.14  1.13/1.17  1.17/1.27  1.57/1.86  3.00/3.56  7.92/10.26
+#:     8   1.08/1.17  1.09/1.27  1.12/1.48  1.40/2.40  2.15/5.61  5.07/18.62
+#:     4   1.08/1.26  1.10/1.47  1.11/1.75  1.33/3.32  1.97/9.22  4.15/33.32
+#:     2   1.10/1.47  1.10/1.75  1.12/2.26  1.34/5.31  1.98/17.16 4.66/67.24
 #:
-#: so batched blocks of 16 floats are faster up to n_q = 10 and within
-#: 0.5 us at 12, while kron wins from L = 8 once the register is large.
+#: Kron also pays one fill of its tables per stride in the bound program's
+#: stage, 0.5-1.3 us for a map iteration's two tables of one stride.  So
+#: kron wins at L <= 8 for every n_q, and at L = 16 only from about
+#: n_q = 8; a limit of 16 moves the last bits of the amplitudes.
 _KRON_MAX_STRIDE = 8
 
 #: A fused diagonal whose phase matrix P (table entries x draws, float64)
@@ -80,49 +87,23 @@ TASK_REGISTERS = 2
 TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
 
 
-def _bind_hadamard(src, dst, n_q, target):
-    """The tilted Hadamard on target as one real matmul from src into dst.
+def _bind_tilt(src, dst, tables, stride, row, kron):
+    """A tilted Hadamard as one prebound real matmul from src into dst.
 
-    Viewed as float64, the buffer is blocks (x0, x1) of L floats each, and
-    the tilt-d rotation maps them to M(d) @ (x0, x1) with
-    M(d) = [[s, c], [c, -s]], (c, s) = (cos, sin)(pi/4 + d).
+    Viewed as float64, the buffer is blocks (x0, x1) of L = stride floats
+    each, and the tilt-d rotation maps them to M(d) @ (x0, x1) with
+    M(d) = [[s, c], [c, -s]], (c, s) = (cos, sin)(pi/4 + d): row `row` of
+    the stage's rotation table.  With kron, the rows (x0 | x1) instead
+    multiply kron(M^T, I_L) = kron(M, I_L), which the stage fills from
+    that row.
     """
-    stride = 2 << (n_q - target)
     src = src.view(np.float64)
     dst = dst.view(np.float64)
-    rotation = np.empty((2, 2))
-    entries = rotation.reshape(-1)
-
-    def rotate(d):
-        angle = 0.25 * math.pi + d[0]
-        c = math.cos(angle)
-        s = math.sin(angle)
-        entries[:] = (s, c, c, -s)
-
-    if stride > _KRON_MAX_STRIDE:
-        blocks_src = src.reshape(-1, 2, stride)
-        blocks_dst = dst.reshape(-1, 2, stride)
-
-        def tilted(d):
-            rotate(d)
-            np.matmul(rotation, blocks_src, out=blocks_dst)
-
-    else:
-        # rows (x0 | x1) times kron(M^T, I_L) = kron(M, I_L): only the
-        # diagonals of its four L x L blocks, 4L entries, are ever nonzero
-        kron = np.zeros((2 * stride, 2 * stride))
-        row, col = kron.strides
-        diagonals = as_strided(kron, (2, 2, stride), (stride * row, stride * col, row + col))
-        rotation_column = rotation[:, :, None]
-        rows_src = src.reshape(-1, 2 * stride)
-        rows_dst = dst.reshape(-1, 2 * stride)
-
-        def tilted(d):
-            rotate(d)
-            diagonals[...] = rotation_column
-            np.matmul(rows_src, kron, out=rows_dst)
-
-    return tilted
+    if kron:
+        rows = (-1, 2 * stride)
+        return partial(np.matmul, src.reshape(rows), tables.krons[row], dst.reshape(rows))
+    blocks = (-1, 2, stride)
+    return partial(np.matmul, tables.rotations[row], src.reshape(blocks), dst.reshape(blocks))
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +119,12 @@ def _features(m):
     return features, {mono: c for c, mono in enumerate(monomials)}
 
 
-def _bind_multiply(src, dst, phase, factor, shape):
-    """The multiply every diagonal op ends in: src times its factor table,
-    a column over the window index, into dst."""
-    view = src.reshape(shape)
-    out = dst.reshape(shape)
-    column = factor.reshape(-1, 1)
-    return lambda d: np.multiply(view, column, out=out)
+def _multiply(src, dst, tables, shape, table):
+    """The multiply every diagonal op ends in, as one prebound call: src
+    times its slice of the factor table, a column over the window index,
+    into dst."""
+    column = tables.factors[table].reshape(-1, 1)
+    return partial(np.multiply, src.reshape(shape), column, dst.reshape(shape))
 
 
 def _compile_diagonal(n_q, gates, phase_budget):
@@ -160,18 +140,20 @@ def _compile_diagonal(n_q, gates, phase_budget):
     high x low feature grid: the ideal coefficients plus a linear map of the
     run's draws.
 
-    Returns (bind, entries, phases), where entries = 2**width is the size
-    of the table and bind(src, dst, phase, factor) binds the op to its
-    source and destination buffers and to its phase and factor tables.  The
-    op ends in one multiply by the factor exp(i * phase); the form has two
-    ways to reach it.  When the phase matrix P (the grid's columns at the
-    run's slots times the linear map) takes at most phase_budget bytes,
-    phases is (P, ideal table), the columns times the map and times the
-    ideal coefficients, and the bound program evaluates the factor.
-    Otherwise phases is None and the op fills C from the draws on every
-    application and evaluates F_high @ C @ F_low^T into phase and
-    exp(i * phase) into factor itself, so no table-by-draws matrix is ever
-    formed, and only C and the F_high @ C product are the op's own.
+    Returns (shape, phases, bind), where shape is the (outer, 2**width,
+    inner) view of the register the op multiplies, so 2**width is the size
+    of its table.  The op ends in one multiply by the factor
+    exp(i * phase); the form has two ways to reach it.  When the phase
+    matrix P (the grid's columns at the run's slots times the linear map)
+    takes at most phase_budget bytes, phases is (P, ideal table), the
+    columns times the map and times the ideal coefficients, bind is None,
+    and the bound program's stage evaluates the factor.  Otherwise phases
+    is None and bind(src, dst, tables, table, span) binds the op's own
+    kernel, which fills C from its span of the gathered draws on every
+    application and evaluates F_high @ C @ F_low^T and exp(i * phase) into
+    its table slice of the phase and factor buffers, so no table-by-draws
+    matrix is ever formed, and only C and the F_high @ C product are the
+    op's own.
     """
     terms = []  # (qubits, target last; phase)
     for gate in gates:
@@ -229,83 +211,134 @@ def _compile_diagonal(n_q, gates, phase_budget):
         phases = (columns @ weights, columns @ offsets)
         for table in phases:
             table.setflags(write=False)
-        return partial(_bind_multiply, shape=shape), 1 << width, phases
+        return shape, phases, None
 
     f_low_t = f_low.T.copy()
     for table in (f_low_t, weights, slots, offsets):
         table.setflags(write=False)
 
-    def bind(src, dst, phase, factor):
-        multiply = _bind_multiply(src, dst, phase, factor, shape)
+    def bind(src, dst, tables, table, span):
+        multiply = _multiply(src, dst, tables, shape, table)
+        phase, factor, d = tables.phases[table], tables.factors[table], tables.draws[span]
         coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
         flat = coefficients.reshape(-1)
         high_part = np.empty((f_high.shape[0], f_low.shape[1]))  # F_high @ C
-        table = phase.reshape(f_high.shape[0], f_low_t.shape[1])
+        phase_table = phase.reshape(f_high.shape[0], f_low_t.shape[1])
 
-        def diagonal(d):  # dst = src * exp(i * F_high @ C @ F_low^T), as a column
+        def diagonal():  # dst = src * exp(i * F_high @ C @ F_low^T), as a column
             flat[slots] = offsets + weights @ d
             np.matmul(f_high, coefficients, out=high_part)
-            np.matmul(high_part, f_low_t, out=table)
+            np.matmul(high_part, f_low_t, out=phase_table)
             np.cos(phase, out=factor.real)
             np.sin(phase, out=factor.imag)
-            multiply(d)
+            multiply()
 
         return diagonal
 
-    return bind, 1 << width, None
+    return shape, None, bind
+
+
+class _Tables(NamedTuple):
+    """The arrays a bound program's ops read besides their two buffers."""
+
+    phases: np.ndarray
+    factors: np.ndarray
+    draws: np.ndarray  # the draws the stage gathered: the groups', then the factorized ops'
+    rotations: np.ndarray  # (tilts, 2, 2): M(d) of each Hadamard
+    krons: list  # kron(M, I_L) of each kron Hadamard, by rotation row
+
+
+class _Compiled(NamedTuple):
+    """The buffer-independent form of a program (see _compile)."""
+
+    ops: tuple  # per op, bind(src, dst, tables) -> the op as one prebound call
+    groups: tuple  # per P shape, (stacked P, slice of gathered draws, slice of phases)
+    gather: np.ndarray  # draw indices the groups read, then the factorized ops
+    tilts: np.ndarray  # draw index of each Hadamard, in rotation-table order
+    krons: tuple  # per kron stride, (stride, its first rotation row, its row count)
+    ideal: np.ndarray  # the stage's ideal phases: the groups' tables, then pi/4 per tilt
+    entries: int  # length of the phase and factor buffers
+    draw_count: int
 
 
 @lru_cache(maxsize=32)
-def _compile(program, phase_budget):
-    """The buffer-independent form of a program under a dense-phase budget.
+def _compile(program, phase_budget, kron_max_stride):
+    """The buffer-independent form of a program under a dense-phase budget
+    and a kron stride limit.
 
-    Returns (ops, phase_ops, ideal, entries):
-    * ops: per op (bind, draws, table), where draws is the op's slice of the
-      draw vector and bind takes the op's (source, destination) buffers,
-      plus its slice table of the phase and factor buffers when table is
-      not None (a diagonal);
-    * phase_ops: per dense diagonal (P, draws, table);
-    * ideal: the dense diagonals' ideal phase tables, end to end;
-    * entries: the length of the phase and factor buffers.  The dense
-      tables fill the first ideal.size entries; the factorized diagonals
-      run one at a time, so each takes the start of the region after them,
-      which is as long as the largest factorized table.
+    Every dense diagonal's table and every Hadamard's tilt is one entry range
+    of the phase buffer that the bound program's stage evaluates.  Dense
+    diagonals whose P has the same shape form one group, stacked once here
+    and evaluated as one batched matmul (in a map iteration each QFT ladder
+    pairs with its mirror and the free rotation with the kick); their tables
+    lie group by group at the start of the buffer, and the tilts follow,
+    kron Hadamards first, grouped by stride, so that each stride fills its
+    kron tables from consecutive rotation rows.  The factorized diagonals
+    run one at a time, so each takes the start of the region after the
+    stage's entries, which is as long as the largest factorized table.
 
     Cached, because every echo task binds the same forward and backward
     programs to fresh buffers.
     """
     ops = []
-    phase_ops = []
-    ideal = []
-    factorized = []  # (index in ops, table size) of each factorized diagonal
-    draws = entries = shared = 0
+    dense = {}  # P shape -> [(op index, view shape, P, ideal table, draw span)]
+    factorized = []  # (op index, bind, table size, draw span)
+    hadamards = []  # (stride, op index, draw index)
+    draws = 0
     for is_hadamard, run in groupby(program.gates, lambda g: isinstance(g, Hadamard)):
         if is_hadamard:
             for g in run:
-                bind = partial(_bind_hadamard, n_q=program.n_q, target=g.target)
-                ops.append((bind, slice(draws, draws + 1), None))
+                hadamards.append((2 << (program.n_q - g.target), len(ops), draws))
+                ops.append(None)
                 draws += 1
             continue
         run = tuple(run)
-        span = slice(draws, draws + 2 * len(run))
+        span = range(draws, draws + 2 * len(run))
         draws = span.stop
-        bind, size, phases = _compile_diagonal(program.n_q, run, phase_budget)
+        shape, phases, bind = _compile_diagonal(program.n_q, run, phase_budget)
         if phases is None:
-            factorized.append((len(ops), size))
-            shared = max(shared, size)
-            ops.append((bind, span, None))
-            continue
-        matrix, table = phases
-        rows = slice(entries, entries + table.size)
-        entries = rows.stop
-        ops.append((bind, span, rows))
-        phase_ops.append((matrix, span, rows))
-        ideal.append(table)
-    for i, size in factorized:
-        ops[i] = (*ops[i][:2], slice(entries, entries + size))
-    ideal = np.concatenate([np.zeros(0), *ideal])
-    ideal.setflags(write=False)
-    return tuple(ops), tuple(phase_ops), ideal, entries + shared
+            factorized.append((len(ops), bind, shape[1], span))
+        else:
+            dense.setdefault(phases[0].shape, []).append((len(ops), shape, *phases, span))
+        ops.append(None)
+
+    gather = []
+    groups = []
+    ideal = []
+    entries = 0
+    for members in dense.values():
+        gathered, start = len(gather), entries
+        for i, shape, _, table, span in members:
+            ops[i] = partial(_multiply, shape=shape, table=slice(entries, entries + table.size))
+            entries += table.size
+            gather.extend(span)
+            ideal.append(table)
+        matrices = np.stack([matrix for _, _, matrix, _, _ in members])
+        matrices.setflags(write=False)
+        groups.append((matrices, slice(gathered, len(gather)), slice(start, entries)))
+
+    hadamards.sort(key=lambda h: h[0] if h[0] <= kron_max_stride else math.inf)
+    for row, (stride, i, _) in enumerate(hadamards):
+        ops[i] = partial(_bind_tilt, stride=stride, row=row, kron=stride <= kron_max_stride)
+    strides = [stride for stride, _, _ in hadamards if stride <= kron_max_stride]
+    krons = [(L, strides.index(L), strides.count(L)) for L in dict.fromkeys(strides)]
+
+    region = entries + len(hadamards)  # the factorized diagonals' region
+    shared = 0
+    for i, bind, size, span in factorized:
+        rows = slice(len(gather), len(gather) + len(span))
+        ops[i] = partial(bind, table=slice(region, region + size), span=rows)
+        gather.extend(span)
+        shared = max(shared, size)
+
+    ideal = np.concatenate([np.zeros(0), *ideal, np.full(len(hadamards), 0.25 * math.pi)])
+    gather = np.array(gather, dtype=np.intp)
+    tilts = np.array([draw for _, _, draw in hadamards], dtype=np.intp)
+    for table in (ideal, gather, tilts):
+        table.setflags(write=False)
+    return _Compiled(
+        tuple(ops), tuple(groups), gather, tilts, tuple(krons), ideal, region + shared, draws
+    )
 
 
 class BoundProgram:
@@ -313,24 +346,31 @@ class BoundProgram:
 
     Each Hadamard is one op, a tilted Hadamard computed as one real matmul;
     each maximal run of phase shifts and controlled phases between
-    Hadamards fuses into one diagonal op (see _compile_diagonal).  Each op
-    binds one kernel, a function of its slice of the draws.  Ops write out
-    of place, so binding allocates a scratch buffer beside amps: op i reads
-    one of the two and writes the other, starting from amps, and a program
-    with an odd op count copies its result back once.
+    Hadamards fuses into one diagonal op (see _compile_diagonal).  Ops write
+    out of place, so binding allocates a scratch buffer beside amps: op i
+    reads one of the two and writes the other, starting from amps, and a
+    program with an odd op count copies its result back once.
 
-    A diagonal whose phase matrix fits _DENSE_PHASE_BYTES is dense: binding
-    gives it a slice of one phase buffer and of one complex factor buffer,
-    and apply() fills both before the ops run (one matmul per dense op, then
-    one add of the ideal tables, one cos and one sin), so the op itself is
-    one multiply.  The factorized diagonals share one region after the
-    dense slices, as long as the largest of their tables, and fill it
-    themselves; so no op allocates a table when it runs.  The two buffers
-    hold 24 bytes per entry: the dense part follows the dense ops the budget
-    admits, not the register, and the shared part is the largest factorized
-    window (the whole register from n_q = 9 in a map iteration).  They hold
-    nothing between applications.  inverse() binds to the same amps,
-    scratch, phase and factor buffers.
+    apply() runs one stage, then the ops.  The stage evaluates, for all ops
+    at once, every phase that does not need a register-sized table: it
+    gathers the draws with two takes, evaluates each group of dense
+    diagonals (those whose phase matrix fits _DENSE_PHASE_BYTES, grouped by
+    its shape) as one batched matmul into one phase buffer, puts each
+    Hadamard's tilt beside them, and then one add of the ideal phases (pi/4
+    for a tilt), one cos and one sin fill one complex factor buffer.  Three
+    assignments write the tilts' rotations M(d) from it, and one per kron
+    stride their kron(M, I_L) diagonals.  So every Hadamard and dense
+    diagonal op is one prebound numpy call (a matmul or a multiply), and
+    apply() calls each with no arguments.  The factorized diagonals keep
+    their kernel, which reads the draws the stage gathered and evaluates
+    its phases and factor in one region after the stage's entries, as long
+    as the largest of their tables; so no op allocates a table when it
+    runs.  The two buffers hold 24 bytes per entry: the stage's part
+    follows the dense ops the budget admits and the Hadamards, not the
+    register, and the shared part is the largest factorized window (the
+    whole register from n_q = 9 in a map iteration).  They hold nothing
+    between applications.  inverse() binds to the same amps, scratch,
+    phase and factor buffers.
 
     Compilation is done once per program and binding takes every view once,
     so repeated applications (thousands per echo experiment) do only
@@ -339,8 +379,8 @@ class BoundProgram:
     """
 
     __slots__ = (
-        "amps", "draw_count", "_program", "_buffers", "_ops", "_phase_ops", "_ideal", "_dense",
-        "_result",
+        "amps", "draw_count", "_program", "_compiled", "_buffers", "_draws", "_tilts", "_stage",
+        "_ops", "_result",
     )
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
@@ -350,25 +390,57 @@ class BoundProgram:
             or not amps.flags.c_contiguous
         ):
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
-        entries = _compile(program, _DENSE_PHASE_BYTES)[3]
+        entries = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE).entries
         tables = (np.empty(entries), np.empty(entries, dtype=np.complex128))
         self._bind(program, (amps, np.empty_like(amps)) + tables)
 
     def _bind(self, program, buffers):
-        ops, phase_ops, self._ideal, _ = _compile(program, _DENSE_PHASE_BYTES)
+        compiled = self._compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
         self.amps = buffers[0]
+        self.draw_count = compiled.draw_count
         self._program = program
         self._buffers = buffers  # (amps, scratch, phases, factors)
         phases, factors = buffers[2:]
-        self._ops = []
-        for i, (bind, draws, table) in enumerate(ops):
-            src, dst = buffers[i % 2], buffers[1 - i % 2]
-            tables = () if table is None else (phases[table], factors[table])
-            self._ops.append((bind(src, dst, *tables), draws))
-        self._phase_ops = [(matrix, draws, phases[table]) for matrix, draws, table in phase_ops]
-        self._dense = (phases[: self._ideal.size], factors[: self._ideal.size])
-        self.draw_count = ops[-1][1].stop if ops else 0
-        self._result = buffers[len(ops) % 2]
+        draws = self._draws = np.empty(compiled.gather.size)
+        # every call takes its out array positionally: through a partial, a
+        # keyword costs about 0.2 us per call, a fifth of a small op
+        stage = self._stage = []
+        for matrices, span, table in compiled.groups:
+            columns = (len(matrices), -1, 1)
+            out = phases[table].reshape(columns)
+            stage.append(partial(np.matmul, matrices, draws[span].reshape(columns), out))
+        staged = slice(0, compiled.ideal.size)
+        stage += [
+            partial(np.add, phases[staged], compiled.ideal, phases[staged]),
+            partial(np.cos, phases[staged], factors[staged].real),
+            partial(np.sin, phases[staged], factors[staged].imag),
+        ]
+        tilts = slice(staged.stop - compiled.tilts.size, staged.stop)
+        self._tilts = phases[tilts]
+        rotations = np.empty((compiled.tilts.size, 2, 2))
+        entries = rotations.reshape(-1, 4)  # (s, c, c, -s) per tilt
+        c, s = factors[tilts].real, factors[tilts].imag
+        stage += [
+            partial(np.copyto, entries[:, 0], s),
+            partial(np.copyto, entries[:, 1:3], c[:, None]),
+            partial(np.negative, s, entries[:, 3]),
+        ]
+        krons = []
+        for stride, first, count in compiled.krons:
+            # only the diagonals of kron(M, I_L)'s four L x L blocks, 4L
+            # entries, are ever nonzero
+            kron = np.zeros((count, 2 * stride, 2 * stride))
+            step, row, col = kron.strides
+            shape = (count, 2, 2, stride)
+            diagonals = as_strided(kron, shape, (step, stride * row, stride * col, row + col))
+            rows = rotations[first : first + count, :, :, None]
+            stage.append(partial(np.copyto, diagonals, rows))
+            krons.extend(kron)
+        tables = _Tables(phases, factors, draws, rotations, krons)
+        self._ops = [
+            bind(buffers[i % 2], buffers[1 - i % 2], tables) for i, bind in enumerate(compiled.ops)
+        ]
+        self._result = buffers[len(self._ops) % 2]
 
     def inverse(self) -> "BoundProgram":
         """The inverse program bound to this program's buffers, so the two
@@ -397,14 +469,14 @@ class BoundProgram:
         order: one per Hadamard tilt, (d0, d1) per phase-type gate."""
         if draws.shape != (self.draw_count,):
             raise ValueError(f"expected {self.draw_count} draws, got shape {draws.shape}")
-        phases, factors = self._dense
-        for matrix, span, phase in self._phase_ops:
-            np.matmul(matrix, draws[span], out=phase)
-        np.add(phases, self._ideal, out=phases)
-        np.cos(phases, out=factors.real)
-        np.sin(phases, out=factors.imag)
-        for kernel, span in self._ops:
-            kernel(draws[span])
+        # every index is in range; mode="clip" writes out directly, where
+        # the default mode buffers it
+        draws.take(self._compiled.gather, out=self._draws, mode="clip")
+        draws.take(self._compiled.tilts, out=self._tilts, mode="clip")
+        for call in self._stage:
+            call()
+        for op in self._ops:
+            op()
         if self._result is not self.amps:
             np.copyto(self.amps, self._result)
 

@@ -8,13 +8,15 @@ Files are UTF-8 with LF line endings.
 
 import json
 import math
-from dataclasses import astuple
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .echo import EchoRecord
 
 # one column per EchoRecord field, in field order
 _OBSERVABLE_COLUMNS = ["E_mean", "E_std", "S_mean", "S_std", "f_mean", "f_std"]
+_observables = attrgetter(*(f.name for f in fields(EchoRecord)[1:]))
 TRACE_HEADER = ["t", *_OBSERVABLE_COLUMNS]
 CURVE_HEADER = ["t_e", *_OBSERVABLE_COLUMNS]
 
@@ -24,7 +26,7 @@ def fmt(value: float) -> str:
 
 
 def records_to_rows(records) -> list:
-    return [(str(r.t), *(fmt(v) for v in astuple(r)[1:])) for r in records]
+    return [(str(r.t), *map(fmt, _observables(r))) for r in records]
 
 
 def write_csv(path, header, rows) -> None:

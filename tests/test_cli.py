@@ -368,6 +368,7 @@ def test_record_bytes_cover_the_parents_peak_per_grid_value(monkeypatch):
         config = scaling.ScalingConfig(
             nq_list=range(3, 7), epsilon_list=(0.01,), t_r_grid=grid, realizations=1, workers=1
         )
+        assert all(point.t_r_grid is config.t_r_grid for point in config.echo_configs)
         scaling.run_scaling(config, write_curve)
 
     one, four = peak_of(curve), peak_of(sweep)

@@ -209,6 +209,9 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
         for seed, program, state, draws, expected in cases:
             bound = BoundProgram(program, state.amps.copy())
             assert bound.draw_count == len(draws)
+            if max_stride > 1 << n_q:  # all kron: one stride group per target
+                targets = {g.target for g in program.gates if isinstance(g, Hadamard)}
+                assert len(bound._compiled.krons) == len(targets)
             bound.apply_noisy(np.random.default_rng(seed), epsilon)
             assert np.abs(bound.amps - expected).max() < 1e-12
 
@@ -216,20 +219,29 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
 def test_dense_phase_tables_stop_growing_with_the_register():
     # the phase and factor tables that dense diagonals bind are bounded by
     # the budget, shared with the inverse, and the same at n_q = 12 and 20;
-    # the factorized diagonals share one region after them, as long as the
-    # largest factorized table, which engine.TASK_BYTES_PER_AMPLITUDE counts
+    # the Hadamard tilts follow them, and the factorized diagonals share one
+    # region after that, as long as the largest factorized table, which
+    # engine.TASK_BYTES_PER_AMPLITUDE counts
     def tables(n_q):
         bound = BoundProgram(map_program(MapParams(n_q, 5.0)), np.zeros(1 << n_q, complex))
         assert bound.inverse()._buffers is bound._buffers
         phases, factors = bound._buffers[2:]
         assert phases.size == factors.size
-        dense = bound._ideal.size
+        compiled = bound._compiled
+        stage = compiled.ideal.size
+        dense = stage - compiled.tilts.size
+        assert compiled.tilts.size == 2 * n_q
+        dense_ops = sum(len(matrices) for matrices, _, _ in compiled.groups)
         diagonals = len(bound._ops) - 2 * n_q  # all but the Hadamards
-        return 24 * dense, len(bound._phase_ops), diagonals, phases.size - dense
+        return 24 * dense, dense_ops, diagonals, phases.size - stage
 
     # every diagonal is dense up to n_q = 8; from 9 the free rotation and
     # the kick factorize, and the QFT ladders are dense up to 10 qubits
     assert tables(8)[1:] == (16, 16, 0)
+    # each P shape occurs twice: a QFT ladder and its mirror, and the free
+    # rotation and the kick
+    bound = BoundProgram(map_program(MapParams(8, 5.0)), np.zeros(1 << 8, complex))
+    assert [len(matrices) for matrices, _, _ in bound._compiled.groups] == [2] * 8
     assert tables(9)[1:] == (16, 18, 2**9)
     small, large = tables(12), tables(20)
     assert small[:2] == large[:2] == (24 * 2 * (2**11 - 4), 18)
@@ -333,3 +345,18 @@ def test_amplitudes_independent_of_blas_threads():
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+def test_iteration_timer_prints_one_row_per_register():
+    # tools/time_iteration.py at one n_q for one round: a header and one row
+    tool = Path(__file__).resolve().parents[1] / "tools" / "time_iteration.py"
+    run = subprocess.run(
+        [sys.executable, str(tool), "--nq", "4", "--rounds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    header, row = run.stdout.splitlines()
+    assert header.split() == ["n_q", "ops", "best_us", "median_us"]
+    n_q, ops, best, median = row.split()
+    assert (int(n_q), int(ops)) == (4, 16)
+    assert 0 < float(best) == float(median)
