@@ -41,7 +41,6 @@ from itertools import combinations, groupby
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
 
@@ -54,15 +53,16 @@ from .program import ControlledPhase, GateProgram, Hadamard, PhaseShift
 #: OPENBLAS_NUM_THREADS=1, a 2-CPU Intel Xeon host):
 #:
 #:     L   n_q = 4    5          6          8          10         12
-#:     16  1.13/1.14  1.13/1.17  1.17/1.27  1.57/1.86  3.00/3.56  7.92/10.26
-#:     8   1.08/1.17  1.09/1.27  1.12/1.48  1.40/2.40  2.15/5.61  5.07/18.62
-#:     4   1.08/1.26  1.10/1.47  1.11/1.75  1.33/3.32  1.97/9.22  4.15/33.32
-#:     2   1.10/1.47  1.10/1.75  1.12/2.26  1.34/5.31  1.98/17.16 4.66/67.24
+#:     16  1.51/1.50  1.65/1.68  1.74/1.87  2.43/2.98  4.27/5.01  11.84/14.44
+#:     8   1.58/1.69  1.62/1.83  1.65/2.21  2.06/3.75  3.26/10.16  7.35/26.72
+#:     4   1.56/1.84  1.56/2.16  1.67/2.68  1.91/5.57  2.99/16.60  5.60/52.98
+#:     2   1.51/2.18  1.58/2.68  1.63/3.68  2.03/9.60  3.18/28.69  7.11/108.18
 #:
 #: Kron also pays one fill of its tables per stride in the bound program's
-#: stage, 0.5-1.3 us for a map iteration's two tables of one stride.  So
-#: kron wins at L <= 8 for every n_q, and at L = 16 only from about
-#: n_q = 8; a limit of 16 moves the last bits of the amplitudes.
+#: stage, 0.9-1.5 us for a map iteration's two tables of one stride.  So
+#: kron wins at L <= 8 for every n_q, while at L = 16 it and its share of
+#: the fill only tie with batched at n_q = 10 and win at 12, by about
+#: 0.3% of an iteration.
 _KRON_MAX_STRIDE = 8
 
 #: A fused diagonal whose phase matrix P (table entries x draws, float64)
@@ -313,7 +313,7 @@ def _compile(program, phase_budget, kron_max_stride):
             entries += table.size
             gather.extend(span)
             ideal.append(table)
-        matrices = np.stack([matrix for _, _, matrix, _, _ in members])
+        matrices = np.array([matrix for _, _, matrix, _, _ in members])
         matrices.setflags(write=False)
         groups.append((matrices, slice(gathered, len(gather)), slice(start, entries)))
 
@@ -390,12 +390,13 @@ class BoundProgram:
             or not amps.flags.c_contiguous
         ):
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
-        entries = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE).entries
-        tables = (np.empty(entries), np.empty(entries, dtype=np.complex128))
-        self._bind(program, (amps, np.empty_like(amps)) + tables)
+        # compiled once per bind: the cache key hashes every gate
+        compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
+        tables = (np.empty(compiled.entries), np.empty(compiled.entries, dtype=np.complex128))
+        self._bind(program, compiled, (amps, np.empty_like(amps)) + tables)
 
-    def _bind(self, program, buffers):
-        compiled = self._compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
+    def _bind(self, program, compiled, buffers):
+        self._compiled = compiled
         self.amps = buffers[0]
         self.draw_count = compiled.draw_count
         self._program = program
@@ -431,8 +432,8 @@ class BoundProgram:
             # entries, are ever nonzero
             kron = np.zeros((count, 2 * stride, 2 * stride))
             step, row, col = kron.strides
-            shape = (count, 2, 2, stride)
-            diagonals = as_strided(kron, shape, (step, stride * row, stride * col, row + col))
+            strides = (step, stride * row, stride * col, row + col)
+            diagonals = np.ndarray((count, 2, 2, stride), np.float64, kron, 0, strides)
             rows = rotations[first : first + count, :, :, None]
             stage.append(partial(np.copyto, diagonals, rows))
             krons.extend(kron)
@@ -446,7 +447,9 @@ class BoundProgram:
         """The inverse program bound to this program's buffers, so the two
         must not run at the same time."""
         inverse = object.__new__(BoundProgram)
-        inverse._bind(self._program.inverse(), self._buffers)
+        program = self._program.inverse()
+        compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
+        inverse._bind(program, compiled, self._buffers)
         return inverse
 
     def mirror(self, draws: np.ndarray) -> np.ndarray:
