@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS, BoundProgram
+from .engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS, BoundProgram, staged_block
 # concurrence and von_neumann_entropy stay bound here because
 # perfbench/tracer.py wraps echo.concurrence, echo.eof and
 # echo.von_neumann_entropy by name
 from .measures import concurrence, concurrence_and_entropy, eof, von_neumann_entropy  # noqa: F401
-from .program import MapParams, map_program
+from .program import GateProgram, MapParams, map_program
 
 #: snapshots an echo task gathers before one stacked measure reduction:
 #: 256 bytes of rho_12 each, so at most 256 kB per task whatever R, t_r or
@@ -55,32 +55,53 @@ def _cpus() -> int:
 _RECORD_BYTES = 1024
 
 
+def _map(config) -> GateProgram:
+    """The map iteration of config, refused when K overflows one of its
+    gate phases."""
+    program = map_program(MapParams(config.n_q, config.K))
+    # the kick phases grow as K * N: a finite K can still overflow one
+    if not all(math.isfinite(getattr(gate, "phase", 0.0)) for gate in program.gates):
+        raise ValueError(f"K = {config.K} overflows a gate phase of the n_q = {config.n_q} map")
+    return program
+
+
 def _processes_that_fit(config) -> int:
     """How many echo tasks of config fit in physical memory beside what
     the parent holds; the one memory rule, which refuses a run where none
     fits.
 
-    A task holds TASK_BYTES_PER_AMPLITUDE * 2**n_q bytes.  The parent holds
-    24 bytes of observables per recorded snapshot (every task's rows and
-    one point's concatenated copy) and _RECORD_BYTES per record.  A grid is
-    sized with len(), so a range is refused before it is listed.
+    A task holds TASK_BYTES_PER_AMPLITUDE * 2**n_q bytes and the block of
+    noise its longest half stages (engine.staged_block): at most the rows
+    of the engine's fixed budget, whatever t_r.  The parent holds 24 bytes
+    of observables per recorded snapshot (every task's rows and one point's
+    concatenated copy) and _RECORD_BYTES per record.  A grid is sized with
+    len(), so a range is refused before it is listed, and the map is built
+    to price the block (refusing an overflowing K) only once its registers
+    fit.
     """
     memory = math.prod(map(os.sysconf, ("SC_PAGE_SIZE", "SC_PHYS_PAGES")))
     if config.t_r_grid is None:
         records, where = 2 * (config.t_r or 0) + 1, f"t_r = {config.t_r}"
-        snapshots = 2 * records
+        snapshots, longest = 2 * records, config.t_r or 0
     else:
         records = len(config.t_r_grid)
         snapshots, where = records + 1, f"a {records}-point t_r grid"
+        # its last value, the longest once EchoConfig checks the grid
+        longest = max(config.t_r_grid[-1:], default=0)
     parent = 24 * config.realizations * snapshots + _RECORD_BYTES * records
     # (memory - parent) // (TASK_BYTES_PER_AMPLITUDE * 2**n_q), without forming 2**n_q
     processes = ((memory - parent) // TASK_BYTES_PER_AMPLITUDE) >> config.n_q
+    rows = block = 0
+    if processes >= 1:
+        rows, block = staged_block(_map(config), longest)
+        processes = (memory - parent) // ((TASK_BYTES_PER_AMPLITUDE << config.n_q) + block)
     if processes < 1:
         raise ValueError(
             f"an n_q = {config.n_q} echo task ({TASK_REGISTERS} registers and phase tables, "
-            f"{TASK_BYTES_PER_AMPLITUDE} * 2**{config.n_q} bytes) beside the {parent} bytes "
-            f"that {config.realizations} realizations at {where} leave in the parent "
-            f"need more than the {memory} bytes of physical memory"
+            f"{TASK_BYTES_PER_AMPLITUDE} * 2**{config.n_q} bytes, and {rows} staged rows of "
+            f"noise, {block} bytes) beside the {parent} bytes that {config.realizations} "
+            f"realizations at {where} leave in the parent need more than the {memory} bytes "
+            f"of physical memory"
         )
     return processes
 
@@ -135,10 +156,6 @@ class EchoConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("t_r grid must be strictly increasing")
             object.__setattr__(self, "t_r_grid", grid)
-        # the kick phases grow as K * N: a finite K can still overflow one
-        gates = map_program(MapParams(self.n_q, self.K)).gates
-        if not all(math.isfinite(getattr(gate, "phase", 0.0)) for gate in gates):
-            raise ValueError(f"K = {self.K} overflows a gate phase of the n_q = {self.n_q} map")
 
 
 @dataclass(frozen=True)
@@ -250,11 +267,16 @@ def _echo_steps(forward, backward, rng, epsilon: float, t_r: int):
     """Evolve one realization on the buffer both programs are bound to.
 
     Yields t = 0 for the initial state, then t after each of the 2*t_r noisy
-    iterations: forward while t <= t_r, backward after.
+    iterations: forward while t <= t_r, backward after.  Each iteration is
+    one apply_noisy call, which is told how many of its half remain, so the
+    engine stages a half's noise in blocks of rows.
     """
     yield 0
-    for t in range(1, 2 * t_r + 1):
-        (forward if t <= t_r else backward).apply_noisy(rng, epsilon)
+    for t in range(1, t_r + 1):
+        forward.apply_noisy(rng, epsilon, t_r + 1 - t)
+        yield t
+    for t in range(t_r + 1, 2 * t_r + 1):
+        backward.apply_noisy(rng, epsilon, 2 * t_r + 1 - t)
         yield t
 
 

@@ -18,21 +18,23 @@ iteration has 4*n_q ops).  Each op writes out of place into the other of
 two buffers.  A diagonal's phase has one representation, its coefficients
 in the slots of a high x low grid of bit features (see _compile_diagonal),
 with two ways to evaluate it, and every diagonal ends in the same multiply
-by its factor exp(i * phase).  Before the ops run, the bound program
-evaluates one stage: the phases of every diagonal whose phase matrix fits
-_DENSE_PHASE_BYTES, grouped by the matrix's shape into one batched matmul
-per group, and every Hadamard's tilt angle, all in one phase buffer; then
-one add of the ideal phases (pi/4 for a tilt), one cos and one sin for all
-of them into one factor buffer, from which the Hadamards' rotations are
-filled.  So each Hadamard and each dense diagonal is one prebound numpy
-call.  A larger diagonal evaluates its own phases and factor in a region
-of the same two buffers, so applying a program allocates no table.  A
-program's inverse binds to the same buffers (see BoundProgram).  Draws are
-consumed in program order from the caller's generator, one uniform vector
-per application; the echo protocol passes each realization's own stream
-(echo.realization_rng), so a fixed (master seed, reversal time,
-realization) triple reproduces every amplitude bit-for-bit.  The ideal
-program is the same ops with zero draws.
+by its factor exp(i * phase).  The ops read one row of tables: the factor
+of every diagonal whose phase matrix fits _DENSE_PHASE_BYTES, each
+Hadamard's rotation and kron diagonals, and the draws of the larger
+diagonals, which evaluate their own phases and factor in one shared region
+when they run, so applying a program allocates no table.  A bound program
+stages these rows a block at a time: one stage evaluates the rows of every
+application in the block, one batched matmul per group of same-shape phase
+matrices, then one add of the ideal phases (pi/4 for a tilt), one cos and
+one sin for all of them, and the rotation and kron fills.  Each application
+then copies its row into the tables the ops read and runs the ops.  A
+program's inverse binds to the same buffers and block (see BoundProgram).
+Draws are consumed in program order: a block of applications draws one
+uniform (rows, draw_count) matrix from the caller's generator, which is bit
+for bit the rows drawn one vector at a time.  The echo protocol stages each
+half-echo from its realization's own stream (echo.realization_rng), so a
+fixed (master seed, reversal time, realization) triple reproduces every
+amplitude bit-for-bit.  The ideal program is the same ops with zero draws.
 """
 
 import math
@@ -75,6 +77,14 @@ _KRON_MAX_STRIDE = 8
 #: binds stop growing at n_q = 10.
 _DENSE_PHASE_BYTES = 256 * 1024
 
+#: bytes of the block of staged rows a bound program and its inverse hold
+#: (see BoundProgram): the rows of the tables its ops read, with the draws,
+#: gathered draws and phases a stage evaluates them from.  A block holds as
+#: many rows as fit, at least one: 21 at n_q = 5, 14 at 6, 5 at 8 and 2 at
+#: n_q = 10..19, where a row's cos and sin dominate and staging more rows at
+#: once saves nothing.  Fixed, so the block never depends on the processes.
+_STAGE_BYTES = 256 * 1024
+
 #: amplitude registers a bound program and its inverse hold between them:
 #: the buffer they evolve and the scratch buffer their ops write into
 TASK_REGISTERS = 2
@@ -83,7 +93,8 @@ TASK_REGISTERS = 2
 #: registers, 16 bytes each, and the float phase and complex factor table
 #: (8 + 16 bytes per entry) that the factorized diagonals share, which spans
 #: the whole register once the full-register diagonals of a map iteration
-#: factorize (from n_q = 9); the dense tables stop growing at n_q = 10
+#: factorize (from n_q = 9).  The block of staged rows is counted apart
+#: (staged_block); its rows stop growing at n_q = 10.
 TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
 
 
@@ -119,12 +130,15 @@ def _features(m):
     return features, {mono: c for c, mono in enumerate(monomials)}
 
 
-def _multiply(src, dst, tables, shape, table):
+def _multiply(src, dst, factors, shape):
     """The multiply every diagonal op ends in, as one prebound call: src
-    times its slice of the factor table, a column over the window index,
-    into dst."""
-    column = tables.factors[table].reshape(-1, 1)
-    return partial(np.multiply, src.reshape(shape), column, dst.reshape(shape))
+    times factors, a column over the window index, into dst."""
+    return partial(np.multiply, src.reshape(shape), factors.reshape(-1, 1), dst.reshape(shape))
+
+
+def _bind_dense(src, dst, tables, shape, table):
+    """A dense diagonal op: the multiply by its slice of the row's factors."""
+    return _multiply(src, dst, tables.factors[table], shape)
 
 
 def _compile_diagonal(n_q, gates, phase_budget):
@@ -149,9 +163,9 @@ def _compile_diagonal(n_q, gates, phase_budget):
     columns times the map and times the ideal coefficients, bind is None,
     and the bound program's stage evaluates the factor.  Otherwise phases
     is None and bind(src, dst, tables, table, span) binds the op's own
-    kernel, which fills C from its span of the gathered draws on every
+    kernel, which fills C from its span of the row's draws on every
     application and evaluates F_high @ C @ F_low^T and exp(i * phase) into
-    its table slice of the phase and factor buffers, so no table-by-draws
+    its slice of the shared phase and factor region, so no table-by-draws
     matrix is ever formed, and only C and the F_high @ C product are the
     op's own.
     """
@@ -218,8 +232,8 @@ def _compile_diagonal(n_q, gates, phase_budget):
         table.setflags(write=False)
 
     def bind(src, dst, tables, table, span):
-        multiply = _multiply(src, dst, tables, shape, table)
-        phase, factor, d = tables.phases[table], tables.factors[table], tables.draws[span]
+        phase, factor, d = tables.phases[table], tables.region[table], tables.draws[span]
+        multiply = _multiply(src, dst, factor, shape)
         coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
         flat = coefficients.reshape(-1)
         high_part = np.empty((f_high.shape[0], f_low.shape[1]))  # F_high @ C
@@ -239,25 +253,33 @@ def _compile_diagonal(n_q, gates, phase_budget):
 
 
 class _Tables(NamedTuple):
-    """The arrays a bound program's ops read besides their two buffers."""
+    """The arrays a bound program's ops read besides their two buffers:
+    views of the row of tables an application copies in, and the region the
+    factorized diagonals share."""
 
-    phases: np.ndarray
-    factors: np.ndarray
-    draws: np.ndarray  # the draws the stage gathered: the groups', then the factorized ops'
+    factors: np.ndarray  # exp(i * phase) of the dense diagonals' tables, then of the tilts
     rotations: np.ndarray  # (tilts, 2, 2): M(d) of each Hadamard
     krons: list  # kron(M, I_L) of each kron Hadamard, by rotation row
+    draws: np.ndarray  # the factorized diagonals' draws, op after op
+    phases: np.ndarray  # the factorized diagonals' region: its phases
+    region: np.ndarray  # and its factors
 
 
 class _Compiled(NamedTuple):
     """The buffer-independent form of a program (see _compile)."""
 
     ops: tuple  # per op, bind(src, dst, tables) -> the op as one prebound call
-    groups: tuple  # per P shape, (stacked P, slice of gathered draws, slice of phases)
-    gather: np.ndarray  # draw indices the groups read, then the factorized ops
+    groups: tuple  # per P shape, (stacked P^T, slice of gathered draws, slice of phases)
+    gather: np.ndarray  # draw indices a stage gathers: the groups', the tilts', the factorized ops'
     tilts: np.ndarray  # draw index of each Hadamard, in rotation-table order
-    krons: tuple  # per kron stride, (stride, its first rotation row, its row count)
+    loose: slice  # of the gathered draws: the factorized ops'
     ideal: np.ndarray  # the stage's ideal phases: the groups' tables, then pi/4 per tilt
-    entries: int  # length of the phase and factor buffers
+    rotations: slice  # of a row: the entries (s, c, c, -s) of each tilt's M(d)
+    krons: tuple  # per kron stride, (stride, first rotation row, row count, slice of a row)
+    draws: slice  # of a row: the factorized diagonals' draws
+    width: int  # floats per row, even, so that every row's factors stay aligned
+    region: int  # length of the factorized diagonals' shared region
+    row_bytes: int  # a staged row, and the draws, gathered draws and phases it comes from
     draw_count: int
 
 
@@ -267,15 +289,16 @@ def _compile(program, phase_budget, kron_max_stride):
     and a kron stride limit.
 
     Every dense diagonal's table and every Hadamard's tilt is one entry range
-    of the phase buffer that the bound program's stage evaluates.  Dense
+    of the phases a stage evaluates, and of the factors in a row.  Dense
     diagonals whose P has the same shape form one group, stacked once here
-    and evaluated as one batched matmul (in a map iteration each QFT ladder
-    pairs with its mirror and the free rotation with the kick); their tables
-    lie group by group at the start of the buffer, and the tilts follow,
-    kron Hadamards first, grouped by stride, so that each stride fills its
-    kron tables from consecutive rotation rows.  The factorized diagonals
-    run one at a time, so each takes the start of the region after the
-    stage's entries, which is as long as the largest factorized table.
+    as P^T and evaluated as one batched matmul (in a map iteration each QFT
+    ladder pairs with its mirror and the free rotation with the kick); their
+    tables lie group by group at the start, and the tilts follow, kron
+    Hadamards first, grouped by stride, so that each stride fills its kron
+    tables from consecutive rotation rows.  After the factors a row holds the
+    rotations, the kron matrices stride by stride, and the factorized
+    diagonals' draws.  Those diagonals run one at a time, so each takes the
+    start of one shared region, as long as the largest factorized table.
 
     Cached, because every echo task binds the same forward and backward
     programs to fresh buffers.
@@ -309,36 +332,99 @@ def _compile(program, phase_budget, kron_max_stride):
     for members in dense.values():
         gathered, start = len(gather), entries
         for i, shape, _, table, span in members:
-            ops[i] = partial(_multiply, shape=shape, table=slice(entries, entries + table.size))
+            ops[i] = partial(_bind_dense, shape=shape, table=slice(entries, entries + table.size))
             entries += table.size
             gather.extend(span)
             ideal.append(table)
-        matrices = np.array([matrix for _, _, matrix, _, _ in members])
+        # P^T, which a block's rows of draws multiply as one gemm per member
+        matrices = np.array([matrix.T for _, _, matrix, _, _ in members])
         matrices.setflags(write=False)
         groups.append((matrices, slice(gathered, len(gather)), slice(start, entries)))
 
     hadamards.sort(key=lambda h: h[0] if h[0] <= kron_max_stride else math.inf)
     for row, (stride, i, _) in enumerate(hadamards):
         ops[i] = partial(_bind_tilt, stride=stride, row=row, kron=stride <= kron_max_stride)
+    width = 2 * (entries + len(hadamards))  # the factors, as (real, imag) pairs
+    rotations = slice(width, width + 4 * len(hadamards))
+    width = rotations.stop
     strides = [stride for stride, _, _ in hadamards if stride <= kron_max_stride]
-    krons = [(L, strides.index(L), strides.count(L)) for L in dict.fromkeys(strides)]
+    krons = []
+    for L in dict.fromkeys(strides):
+        count = strides.count(L)
+        krons.append((L, strides.index(L), count, slice(width, width + 4 * count * L * L)))
+        width += 4 * count * L * L
 
-    region = entries + len(hadamards)  # the factorized diagonals' region
-    shared = 0
+    tilts = [draw for _, _, draw in hadamards]
+    gather.extend(tilts)
+    first = len(gather)  # the factorized ops' draws follow the tilts
+    region = 0
     for i, bind, size, span in factorized:
-        rows = slice(len(gather), len(gather) + len(span))
-        ops[i] = partial(bind, table=slice(region, region + size), span=rows)
+        rows = slice(len(gather) - first, len(gather) - first + len(span))
+        ops[i] = partial(bind, table=slice(0, size), span=rows)
         gather.extend(span)
-        shared = max(shared, size)
+        region = max(region, size)
+    loose = slice(first, len(gather))
+    row_draws = slice(width, width + len(gather) - first)
+    width = row_draws.stop + row_draws.stop % 2
 
     ideal = np.concatenate([np.zeros(0), *ideal, np.full(len(hadamards), 0.25 * math.pi)])
-    gather = np.array(gather, dtype=np.intp)
-    tilts = np.array([draw for _, _, draw in hadamards], dtype=np.intp)
+    gather, tilts = (np.array(indices, dtype=np.intp) for indices in (gather, tilts))
     for table in (ideal, gather, tilts):
         table.setflags(write=False)
+    row_bytes = 8 * (width + draws + gather.size + ideal.size)
     return _Compiled(
-        tuple(ops), tuple(groups), gather, tilts, tuple(krons), ideal, region + shared, draws
+        tuple(ops), tuple(groups), gather, tilts, loose, ideal, rotations, tuple(krons),
+        row_draws, width, region, row_bytes, draws,
     )
+
+
+@lru_cache(maxsize=32)
+def _compile_inverse(program, phase_budget, kron_max_stride):
+    """A program's inverse and its compiled form, built once per program:
+    every echo task binds the backward program of the same forward one."""
+    inverse = program.inverse()
+    return inverse, _compile(inverse, phase_budget, kron_max_stride)
+
+
+def _rows_that_fit(compiled) -> int:
+    """The rows of a block under _STAGE_BYTES, at least one (an empty
+    program's rows take no bytes)."""
+    return max(1, _STAGE_BYTES // max(1, compiled.row_bytes))
+
+
+def staged_block(program: GateProgram, applications: int) -> tuple:
+    """(rows, bytes) of the block a bound program stages for a run of
+    `applications` noisy applications (see BoundProgram.apply_noisy): as
+    many rows as the run has, up to what _STAGE_BYTES holds."""
+    compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
+    rows = max(0, min(applications, _rows_that_fit(compiled)))
+    return rows, rows * compiled.row_bytes
+
+
+class _Staged:
+    """What a bound program and its inverse share of their staged rows: the
+    row their ops read, the block of rows with the gathered draws and phases
+    a stage evaluates them from, which rows of the block wait, and their
+    source, (program, generator, epsilon)."""
+
+    __slots__ = ("row", "block", "gathered", "phases", "next", "stop", "source")
+
+    def __init__(self, compiled):
+        # zeros: a kron matrix only ever has its diagonals written
+        self.row = np.zeros(compiled.width)
+        # a block of one row is the row itself, which its copy then skips
+        self.block = self.row[None]
+        self.gathered = np.empty((1, compiled.gather.size))
+        self.phases = np.empty((1, compiled.ideal.size))
+        self.next = self.stop = 0
+        self.source = None
+
+    def hold(self, rows: int) -> None:
+        """Make room for a block of at least rows rows."""
+        if rows > len(self.block):
+            self.block = np.zeros((rows, self.row.size))
+            self.gathered = np.empty((rows, self.gathered.shape[1]))
+            self.phases = np.empty((rows, self.phases.shape[1]))
 
 
 class BoundProgram:
@@ -351,36 +437,38 @@ class BoundProgram:
     reads one of the two and writes the other, starting from amps, and a
     program with an odd op count copies its result back once.
 
-    apply() runs one stage, then the ops.  The stage evaluates, for all ops
-    at once, every phase that does not need a register-sized table: it
-    gathers the draws with two takes, evaluates each group of dense
-    diagonals (those whose phase matrix fits _DENSE_PHASE_BYTES, grouped by
-    its shape) as one batched matmul into one phase buffer, puts each
-    Hadamard's tilt beside them, and then one add of the ideal phases (pi/4
-    for a tilt), one cos and one sin fill one complex factor buffer.  Three
-    assignments write the tilts' rotations M(d) from it, and one per kron
-    stride their kron(M, I_L) diagonals.  So every Hadamard and dense
-    diagonal op is one prebound numpy call (a matmul or a multiply), and
-    apply() calls each with no arguments.  The factorized diagonals keep
-    their kernel, which reads the draws the stage gathered and evaluates
-    its phases and factor in one region after the stage's entries, as long
-    as the largest of their tables; so no op allocates a table when it
-    runs.  The two buffers hold 24 bytes per entry: the stage's part
-    follows the dense ops the budget admits and the Hadamards, not the
-    register, and the shared part is the largest factorized window (the
-    whole register from n_q = 9 in a map iteration).  They hold nothing
-    between applications.  inverse() binds to the same amps, scratch,
-    phase and factor buffers.
+    The ops read one row of tables.  Every Hadamard and every dense diagonal
+    (one whose phase matrix fits _DENSE_PHASE_BYTES) is one prebound numpy
+    call, a matmul by its rotation M(d) or kron(M, I_L), or a multiply by
+    its complex factor, all views of the row.  The factorized diagonals keep
+    their kernel, which reads its draws from the row and evaluates its
+    phases and factor in one shared region, as long as the largest of their
+    tables (the whole register from n_q = 9 in a map iteration); so no op
+    allocates a table when it runs.
 
-    Compilation is done once per program and binding takes every view once,
-    so repeated applications (thousands per echo experiment) do only
-    arithmetic.  amps must stay the C-contiguous complex128 array the views
-    were taken from.
+    Rows are staged a block at a time, one row per application.  One stage
+    gathers the block's draws, evaluates each group of dense diagonals
+    (grouped by the shape of P) as one batched matmul of the rows' draws by
+    the stacked P^T, puts each Hadamard's tilt beside them, and then one add
+    of the ideal phases (pi/4 for a tilt), one cos and one sin fill the
+    rows' factors; three assignments write the tilts' rotations from them,
+    and one per kron stride their kron diagonals.  An application then
+    copies its row into the row the ops read and calls each op with no
+    arguments.  apply(draws) is a block of one row.  apply_noisy stages, when
+    no row waits, the next min(remaining, capacity) applications from one
+    uniform draw, capacity being the rows _STAGE_BYTES holds.
+
+    inverse() binds to the same amps, scratch, region, row and block, so the
+    two must not run at the same time, and neither may stage while the
+    other's rows wait.  Compilation is done once per program and its
+    inverse, and binding takes every view once, so repeated applications
+    (thousands per echo experiment) do only arithmetic.  amps must stay the
+    C-contiguous complex128 array the views were taken from.
     """
 
     __slots__ = (
-        "amps", "draw_count", "_program", "_compiled", "_buffers", "_draws", "_tilts", "_stage",
-        "_ops", "_result",
+        "amps", "draw_count", "_program", "_compiled", "_buffers", "_staged", "_capacity",
+        "_stages", "_ops", "_result",
     )
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
@@ -392,63 +480,47 @@ class BoundProgram:
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
         # compiled once per bind: the cache key hashes every gate
         compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
-        tables = (np.empty(compiled.entries), np.empty(compiled.entries, dtype=np.complex128))
-        self._bind(program, compiled, (amps, np.empty_like(amps)) + tables)
+        region = (np.empty(compiled.region), np.empty(compiled.region, dtype=np.complex128))
+        buffers = (amps, np.empty_like(amps), *region, _Staged(compiled))
+        self._bind(program, compiled, buffers)
 
     def _bind(self, program, compiled, buffers):
+        self._program = program
         self._compiled = compiled
         self.amps = buffers[0]
         self.draw_count = compiled.draw_count
-        self._program = program
-        self._buffers = buffers  # (amps, scratch, phases, factors)
-        phases, factors = buffers[2:]
-        draws = self._draws = np.empty(compiled.gather.size)
-        # every call takes its out array positionally: through a partial, a
-        # keyword costs about 0.2 us per call, a fifth of a small op
-        stage = self._stage = []
-        for matrices, span, table in compiled.groups:
-            columns = (len(matrices), -1, 1)
-            out = phases[table].reshape(columns)
-            stage.append(partial(np.matmul, matrices, draws[span].reshape(columns), out))
-        staged = slice(0, compiled.ideal.size)
-        stage += [
-            partial(np.add, phases[staged], compiled.ideal, phases[staged]),
-            partial(np.cos, phases[staged], factors[staged].real),
-            partial(np.sin, phases[staged], factors[staged].imag),
-        ]
-        tilts = slice(staged.stop - compiled.tilts.size, staged.stop)
-        self._tilts = phases[tilts]
-        rotations = np.empty((compiled.tilts.size, 2, 2))
-        entries = rotations.reshape(-1, 4)  # (s, c, c, -s) per tilt
-        c, s = factors[tilts].real, factors[tilts].imag
-        stage += [
-            partial(np.copyto, entries[:, 0], s),
-            partial(np.copyto, entries[:, 1:3], c[:, None]),
-            partial(np.negative, s, entries[:, 3]),
-        ]
+        self._buffers = buffers  # (amps, scratch, region phases, region factors, staged)
+        self._staged = buffers[4]
+        self._capacity = _rows_that_fit(compiled)
+        self._stages = (None, {})  # (the block they are bound to, {rows: stage})
+        row = self._staged.row
         krons = []
-        for stride, first, count in compiled.krons:
-            # only the diagonals of kron(M, I_L)'s four L x L blocks, 4L
-            # entries, are ever nonzero
-            kron = np.zeros((count, 2 * stride, 2 * stride))
-            step, row, col = kron.strides
-            strides = (step, stride * row, stride * col, row + col)
-            diagonals = np.ndarray((count, 2, 2, stride), np.float64, kron, 0, strides)
-            rows = rotations[first : first + count, :, :, None]
-            stage.append(partial(np.copyto, diagonals, rows))
-            krons.extend(kron)
-        tables = _Tables(phases, factors, draws, rotations, krons)
+        for stride, _, count, span in compiled.krons:
+            krons.extend(row[span].reshape(count, 2 * stride, 2 * stride))
+        tables = _Tables(
+            row[: 2 * compiled.ideal.size].view(np.complex128),
+            row[compiled.rotations].reshape(compiled.tilts.size, 2, 2),
+            krons,
+            row[compiled.draws],
+            *buffers[2:4],
+        )
         self._ops = [
             bind(buffers[i % 2], buffers[1 - i % 2], tables) for i, bind in enumerate(compiled.ops)
         ]
         self._result = buffers[len(self._ops) % 2]
 
+    def _refuse_waiting_rows(self, call: str) -> None:
+        waiting = self._staged.stop - self._staged.next
+        if waiting:
+            raise ValueError(f"{call} while {waiting} staged applications wait to run")
+
     def inverse(self) -> "BoundProgram":
         """The inverse program bound to this program's buffers, so the two
         must not run at the same time."""
+        self._refuse_waiting_rows("inverse()")
+        # the same gates reversed have the same tables, so the same row layout
+        program, compiled = _compile_inverse(self._program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
         inverse = object.__new__(BoundProgram)
-        program = self._program.inverse()
-        compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
         inverse._bind(program, compiled, self._buffers)
         return inverse
 
@@ -467,27 +539,115 @@ class BoundProgram:
         sign = [s for span, s in reversed(gates) for _ in span]
         return draws[index] * sign
 
-    def apply(self, draws: np.ndarray) -> None:
-        """One application at the given draws, draw_count of them in program
-        order: one per Hadamard tilt, (d0, d1) per phase-type gate."""
-        if draws.shape != (self.draw_count,):
-            raise ValueError(f"expected {self.draw_count} draws, got shape {draws.shape}")
+    def _bind_stage(self, rows: int) -> tuple:
+        """The stage of a block of rows rows, as prebound numpy calls on the
+        shared block: (its gathered draws, the calls)."""
+        compiled, staged = self._compiled, self._staged
+        block, gathered, phases = (a[:rows] for a in (staged.block, staged.gathered, staged.phases))
+        # every call takes its out array positionally: through a partial, a
+        # keyword costs about 0.2 us per call
+        calls = []
+        for matrices, span, table in compiled.groups:
+            # (members, rows, ...) views: one gemm of the rows' draws per member
+            d, out = (
+                a.reshape(rows, len(matrices), -1).swapaxes(0, 1)
+                for a in (gathered[:, span], phases[:, table])
+            )
+            calls.append(partial(np.matmul, d, matrices, out))
+        hadamards = compiled.tilts.size
+        tilts = slice(compiled.ideal.size - hadamards, compiled.ideal.size)
+        drawn = slice(compiled.loose.start - hadamards, compiled.loose.start)
+        factors = block[:, : 2 * compiled.ideal.size].view(np.complex128)
+        calls += [
+            partial(np.copyto, phases[:, tilts], gathered[:, drawn]),
+            partial(np.add, phases, compiled.ideal, phases),
+            partial(np.cos, phases, factors.real),
+            partial(np.sin, phases, factors.imag),
+        ]
+        entries = block[:, compiled.rotations].reshape(rows, hadamards, 4)  # (s, c, c, -s) each
+        c, s = factors[:, tilts].real, factors[:, tilts].imag
+        calls += [
+            partial(np.copyto, entries[:, :, 0], s),
+            partial(np.copyto, entries[:, :, 1:3], c[:, :, None]),
+            partial(np.negative, s, entries[:, :, 3]),
+        ]
+        rotations = entries.reshape(rows, hadamards, 2, 2)
+        for stride, first, count, span in compiled.krons:
+            # only the diagonals of kron(M, I_L)'s four L x L blocks, 4L
+            # entries, are ever nonzero
+            across, step, row, col = block[:, span].reshape(rows, count, 2 * stride, -1).strides
+            strides = (across, step, stride * row, stride * col, row + col)
+            shape = (rows, count, 2, 2, stride)
+            diagonals = np.ndarray(shape, np.float64, block, span.start * col, strides)
+            calls.append(
+                partial(np.copyto, diagonals, rotations[:, first : first + count, :, :, None])
+            )
+        if compiled.loose.stop > compiled.loose.start:  # factorized diagonals, from n_q = 9
+            calls.append(partial(np.copyto, block[:, compiled.draws], gathered[:, compiled.loose]))
+        return gathered, calls
+
+    def _stage(self, draws: np.ndarray) -> None:
+        """Evaluate one row of tables per row of draws into the block."""
+        rows, staged = len(draws), self._staged
+        staged.hold(rows)
+        if self._stages[0] is not staged.block:  # bound to a block since outgrown
+            self._stages = (staged.block, {})
+        stages = self._stages[1]
+        if rows not in stages:
+            stages[rows] = self._bind_stage(rows)
+        gathered, calls = stages[rows]
         # every index is in range; mode="clip" writes out directly, where
         # the default mode buffers it
-        draws.take(self._compiled.gather, out=self._draws, mode="clip")
-        draws.take(self._compiled.tilts, out=self._tilts, mode="clip")
-        for call in self._stage:
+        draws.take(self._compiled.gather, axis=1, out=gathered, mode="clip")
+        for call in calls:
             call()
+        staged.next, staged.stop = 0, rows
+
+    def _run_next(self) -> None:
+        """Copy the next staged row into the row the ops read and run them."""
+        staged = self._staged
+        np.copyto(staged.row, staged.block[staged.next])
+        staged.next += 1
         for op in self._ops:
             op()
         if self._result is not self.amps:
             np.copyto(self.amps, self._result)
 
+    def apply(self, draws: np.ndarray) -> None:
+        """One application at the given draws, draw_count of them in program
+        order: one per Hadamard tilt, (d0, d1) per phase-type gate; staged as
+        a block of one row, so no staged row may be waiting."""
+        if draws.shape != (self.draw_count,):
+            raise ValueError(f"expected {self.draw_count} draws, got shape {draws.shape}")
+        self._refuse_waiting_rows("apply()")
+        self._stage(draws[None])
+        self._run_next()
+
     def apply_ideal(self) -> None:
         """The program without noise: every op at zero draws."""
         self.apply(np.zeros(self.draw_count))
 
-    def apply_noisy(self, rng: np.random.Generator, epsilon: float) -> None:
+    def apply_noisy(self, rng: np.random.Generator, epsilon: float, remaining: int = 1) -> None:
         """One application with draws uniform in [-epsilon, epsilon]; at
-        epsilon = 0 they are zeros (rng still advances)."""
-        self.apply(rng.uniform(-epsilon, epsilon, self.draw_count))
+        epsilon = 0 they are zeros (rng still advances).
+
+        remaining counts the applications left in this run of calls, this one
+        included.  A call that finds no staged row draws the next
+        min(remaining, capacity) applications as one uniform
+        (rows, draw_count) matrix, bit for bit the draws of that many calls
+        one at a time, and stages them; it and the calls after it each apply
+        one row, and must pass the same rng and epsilon.
+        """
+        staged = self._staged
+        if staged.next == staged.stop:
+            if remaining < 1:
+                raise ValueError(f"remaining applications must be >= 1, got {remaining}")
+            rows = min(remaining, self._capacity)
+            self._stage(rng.uniform(-epsilon, epsilon, (rows, self.draw_count)))
+            staged.source = (self, rng, epsilon)
+        elif staged.source != (self, rng, epsilon) or staged.stop - staged.next > remaining:
+            raise ValueError(
+                f"{staged.stop - staged.next} staged applications wait to run from another "
+                "program, generator or epsilon, or beyond the remaining count"
+            )
+        self._run_next()

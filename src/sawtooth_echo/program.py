@@ -27,6 +27,7 @@ Gate count per iteration: 2*n_q Hadamards, 2*n_q phase shifts, and
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,9 +185,11 @@ def qft_program(n_q: int) -> GateProgram:
     return GateProgram(n_q, tuple(gates))
 
 
+@lru_cache(maxsize=16)
 def map_program(params: MapParams) -> GateProgram:
     """One forward map iteration as a gate program; .inverse() is the exact
-    gate-by-gate backward iteration.
+    gate-by-gate backward iteration.  Cached: a run checks and binds the
+    same iteration in every task, and a program is immutable.
 
     The free rotation is written on qubit n_q + 1 - q, the QFT ladder's
     output order; with R the reversal, R @ diag(free) @ R is that same

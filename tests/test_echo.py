@@ -20,7 +20,7 @@ from sawtooth_echo import (
     run_trace,
     von_neumann_entropy,
 )
-from sawtooth_echo import echo
+from sawtooth_echo import MapParams, echo, engine, map_program
 from sawtooth_echo.echo import _record_measures, _reduce_measures
 
 
@@ -246,6 +246,34 @@ def test_processes_never_outgrow_the_memory_of_their_tasks(monkeypatch):
         records = run_trace(EchoConfig(**config, workers=2))
         assert records == run_trace(EchoConfig(**config, workers=1))
     assert pool.sizes == [2]
+
+
+def test_a_long_half_stages_no_more_than_the_block_budget(monkeypatch):
+    # a task holds the noise its longest half stages, as many rows as the
+    # half has up to the engine's fixed budget: a 10**6-iteration half holds
+    # what a half of that many rows does, and fits where a second task of
+    # the same register does not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (2 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    program = map_program(MapParams(14, 5.0))
+    rows, block = engine.staged_block(program, 10**6)
+    assert 1 <= rows == block // engine.staged_block(program, 1)[1]
+    assert block <= engine._STAGE_BYTES
+    config = dict(n_q=14, epsilon=0.02, realizations=2)
+    long, short = (EchoConfig(**config, t_r_grid=(1, t_r)) for t_r in (10**6, rows))
+    assert echo._processes_that_fit(long) == echo._processes_that_fit(short) == 1
+    assert echo._processes_that_fit(EchoConfig(**config, t_r=1)) == 2
+    # memory that holds an n_q = 15 task with one staged row refuses the
+    # same task with two, and names them
+    program = map_program(MapParams(15, 5.0))
+    one, two = (engine.staged_block(program, t_r)[1] for t_r in (1, 2))
+    parent = 24 * 2 * 3 + 2 * echo._RECORD_BYTES  # the (1, 2) grid's observables and records
+    memory = (engine.TASK_BYTES_PER_AMPLITUDE << 15) + parent + one
+    pages["SC_PHYS_PAGES"] = -(-memory // 4096)
+    assert memory + two - one > 4096 * pages["SC_PHYS_PAGES"]
+    assert echo._processes_that_fit(EchoConfig(n_q=15, epsilon=0.02, realizations=2, t_r_grid=(1,))) == 1
+    with pytest.raises(ValueError, match=f"2 staged rows of noise, {two} bytes"):
+        EchoConfig(n_q=15, epsilon=0.02, realizations=2, t_r_grid=(1, 2))
 
 
 def test_curve_records_independent_of_chunking(monkeypatch):

@@ -217,23 +217,22 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
 
 
 def test_dense_phase_tables_stop_growing_with_the_register():
-    # the phase and factor tables that dense diagonals bind are bounded by
-    # the budget, shared with the inverse, and the same at n_q = 12 and 20;
-    # the Hadamard tilts follow them, and the factorized diagonals share one
-    # region after that, as long as the largest factorized table, which
+    # the phases and factors a staged row holds for the dense diagonals are
+    # bounded by the budget, and the same at n_q = 12 and 20; the Hadamard
+    # tilts follow them, and the factorized diagonals share one region, as
+    # long as the largest factorized table, with the inverse, which
     # engine.TASK_BYTES_PER_AMPLITUDE counts
     def tables(n_q):
         bound = BoundProgram(map_program(MapParams(n_q, 5.0)), np.zeros(1 << n_q, complex))
         assert bound.inverse()._buffers is bound._buffers
-        phases, factors = bound._buffers[2:]
+        phases, factors = bound._buffers[2:4]
         assert phases.size == factors.size
         compiled = bound._compiled
-        stage = compiled.ideal.size
-        dense = stage - compiled.tilts.size
+        dense = compiled.ideal.size - compiled.tilts.size
         assert compiled.tilts.size == 2 * n_q
         dense_ops = sum(len(matrices) for matrices, _, _ in compiled.groups)
         diagonals = len(bound._ops) - 2 * n_q  # all but the Hadamards
-        return 24 * dense, dense_ops, diagonals, phases.size - stage
+        return 24 * dense, dense_ops, diagonals, phases.size
 
     # every diagonal is dense up to n_q = 8; from 9 the free rotation and
     # the kick factorize, and the QFT ladders are dense up to 10 qubits
@@ -348,7 +347,8 @@ def test_amplitudes_independent_of_blas_threads():
 
 
 def test_iteration_timer_prints_one_row_per_register():
-    # tools/time_iteration.py at one n_q for one round: a header and one row
+    # tools/time_iteration.py at one n_q for one round: a header and one
+    # row, with the time of an iteration alone and inside a half-echo
     tool = Path(__file__).resolve().parents[1] / "tools" / "time_iteration.py"
     run = subprocess.run(
         [sys.executable, str(tool), "--nq", "4", "--rounds", "1"],
@@ -356,7 +356,123 @@ def test_iteration_timer_prints_one_row_per_register():
     )
     assert run.returncode == 0, run.stderr
     header, row = run.stdout.splitlines()
-    assert header.split() == ["n_q", "ops", "best_us", "median_us"]
-    n_q, ops, best, median = row.split()
+    assert header.split() == [
+        "n_q", "ops", "best_us", "median_us", "half_best_us", "half_median_us"
+    ]
+    n_q, ops, best, median, half_best, half_median = row.split()
     assert (int(n_q), int(ops)) == (4, 16)
     assert 0 < float(best) == float(median)
+    assert 0 < float(half_best) == float(half_median)
+
+
+class _RecordingRng:
+    """A generator that records the shape of every uniform draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.uniform(low, high, size)
+
+
+def _half(bound, rng, epsilon, t_r):
+    """One half-echo as echo._echo_steps runs it: t_r calls, each told how
+    many of the half remain."""
+    for t in range(1, t_r + 1):
+        bound.apply_noisy(rng, epsilon, t_r + 1 - t)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.3])
+def test_blocked_half_draws_the_single_row_stream(epsilon):
+    # a half staged as one block of t_r rows takes the draws of t_r
+    # single-row calls, every one of them, and leaves the generator where
+    # they leave it; the amplitudes match t_r applications of those draws
+    n_q, t_r = 5, 7
+    program = map_program(MapParams(n_q, 5.0))
+    start = random_state(n_q, np.random.default_rng(21)).amps
+    blocked, single = BoundProgram(program, start.copy()), BoundProgram(program, start.copy())
+    assert blocked._capacity > t_r
+    rng, reference = realization_rng(5, t_r, 3), realization_rng(5, t_r, 3)
+    draws = np.array([reference.uniform(-epsilon, epsilon, single.draw_count) for _ in range(t_r)])
+    recording = _RecordingRng(rng)
+    _half(blocked, recording, epsilon, t_r)
+    assert recording.sizes == [(t_r, blocked.draw_count)]
+    np.testing.assert_array_equal(
+        blocked._staged.gathered[:t_r], draws[:, blocked._compiled.gather]
+    )
+    assert rng.bit_generator.state == reference.bit_generator.state
+    for d in draws:
+        single.apply(d)
+    assert np.abs(blocked.amps - single.amps).max() < 1e-13
+
+
+def test_blocked_half_at_zero_noise_is_the_ideal_program():
+    n_q, t_r = 6, 9
+    program = map_program(MapParams(n_q, 5.0))
+    start = random_state(n_q, np.random.default_rng(22)).amps
+    blocked, ideal = BoundProgram(program, start.copy()), BoundProgram(program, start.copy())
+    _half(blocked, realization_rng(1, t_r, 0), 0.0, t_r)
+    for _ in range(t_r):
+        ideal.apply_ideal()
+    np.testing.assert_array_equal(blocked.amps, ideal.amps)
+
+
+def test_half_longer_than_the_block_splits_into_blocks(monkeypatch):
+    # a budget of three rows splits an 8-iteration half into blocks of 3,
+    # 3 and 2 rows, which together draw and apply what 8 single calls do;
+    # the backward half then stages its own blocks on the shared block
+    n_q, t_r, epsilon = 4, 8, 0.2
+    program = map_program(MapParams(n_q, 5.0))
+    row_bytes = engine._compile(program, engine._DENSE_PHASE_BYTES, engine._KRON_MAX_STRIDE).row_bytes
+    monkeypatch.setattr(engine, "_STAGE_BYTES", 3 * row_bytes + 1)
+    assert engine.staged_block(program, t_r) == (3, 3 * row_bytes)
+    start = random_state(n_q, np.random.default_rng(23)).amps
+    forward = BoundProgram(program, start.copy())
+    backward = forward.inverse()
+    rng = _RecordingRng(realization_rng(2, t_r, 1))
+    _half(forward, rng, epsilon, t_r)
+    _half(backward, rng, epsilon, t_r)
+    assert rng.sizes == ([(3, forward.draw_count)] * 2 + [(2, forward.draw_count)]) * 2
+    reference = realization_rng(2, t_r, 1)
+    single = BoundProgram(program, start.copy())
+    single_backward = single.inverse()
+    for bound in [single] * t_r + [single_backward] * t_r:
+        bound.apply(reference.uniform(-epsilon, epsilon, bound.draw_count))
+    assert np.abs(forward.amps - single.amps).max() < 1e-13
+
+
+def test_waiting_rows_are_never_discarded():
+    # while a block's rows wait, apply(draws), inverse(), the inverse's
+    # noisy call, another generator or epsilon, and a remaining count
+    # below the waiting rows raise, and the half then runs on unchanged
+    n_q, t_r, epsilon = 4, 5, 0.1
+    program = map_program(MapParams(n_q, 5.0))
+    start = random_state(n_q, np.random.default_rng(24)).amps
+    bound, single = BoundProgram(program, start.copy()), BoundProgram(program, start.copy())
+    backward = bound.inverse()
+    rng = realization_rng(4, t_r, 0)
+    bound.apply_noisy(rng, epsilon, t_r)
+    before = bound.amps.copy()
+    refused = [
+        lambda: bound.apply(np.zeros(bound.draw_count)),
+        bound.apply_ideal,
+        bound.inverse,
+        lambda: backward.apply_noisy(rng, epsilon, t_r - 1),
+        lambda: bound.apply_noisy(realization_rng(4, t_r, 0), epsilon, t_r - 1),
+        lambda: bound.apply_noisy(rng, 2 * epsilon, t_r - 1),
+        lambda: bound.apply_noisy(rng, epsilon, t_r - 2),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError):
+            call()
+    np.testing.assert_array_equal(bound.amps, before)
+    for remaining in range(t_r - 1, 0, -1):
+        bound.apply_noisy(rng, epsilon, remaining)
+    reference = realization_rng(4, t_r, 0)
+    for _ in range(t_r):
+        single.apply(reference.uniform(-epsilon, epsilon, single.draw_count))
+    assert np.abs(bound.amps - single.amps).max() < 1e-13
+    with pytest.raises(ValueError):
+        bound.apply_noisy(rng, epsilon, 0)
+    bound.inverse().apply_ideal()  # nothing waits any more

@@ -5,10 +5,14 @@ Usage: python tools/time_iteration.py [--nq 4,5,6,8,10,12] [--rounds 15]
 Imports sawtooth_echo from the src/ directory beside this script, so two
 checkouts compare by running each one's copy in turn.  Each n_q binds one
 forward map iteration to a random unit state and draws at epsilon = 0.01
-from a fixed generator.  A round times one batch of iterations per n_q,
-the n_q interleaved, and a batch is sized to take about 20 ms.  Prints one
-line per n_q: the op count, then the best and the median time per
-iteration over the rounds, in microseconds.  Pin the BLAS threads
+from a fixed generator.  An iteration is timed two ways: alone, one
+apply_noisy call that stages and applies one row, and inside a half-echo
+of HALF iterations, the calls echo._echo_steps makes, each told how many
+of the half remain, so the engine stages the half's noise in blocks.  A
+round times one batch of each per n_q, the n_q interleaved, and a batch is
+sized to take about 20 ms.  Prints one line per n_q: the op count, then
+the best and the median time per iteration over the rounds, alone and
+inside a half, in microseconds.  Pin the BLAS threads
 (OPENBLAS_NUM_THREADS=1) to compare runs.
 """
 
@@ -27,6 +31,8 @@ from sawtooth_echo.engine import BoundProgram  # noqa: E402
 
 EPSILON = 0.01
 BATCH_SECONDS = 0.02
+#: iterations per half-echo, the shape of the benchmark's trace
+HALF = 20
 
 
 def _bound(n_q):
@@ -36,11 +42,22 @@ def _bound(n_q):
     return BoundProgram(map_program(MapParams(n_q)), amps), np.random.default_rng(0)
 
 
-def _batch_seconds(bound, rng, count):
+def _alone(bound, rng, count):
+    """Seconds per iteration over count single applications."""
     start = time.perf_counter()
     for _ in range(count):
         bound.apply_noisy(rng, EPSILON)
-    return time.perf_counter() - start
+    return (time.perf_counter() - start) / count
+
+
+def _in_halves(bound, rng, count):
+    """Seconds per iteration over count iterations, whole halves of HALF."""
+    halves = -(-count // HALF)
+    start = time.perf_counter()
+    for _ in range(halves):
+        for remaining in range(HALF, 0, -1):
+            bound.apply_noisy(rng, EPSILON, remaining)
+    return (time.perf_counter() - start) / (halves * HALF)
 
 
 def main(argv) -> int:
@@ -54,17 +71,19 @@ def main(argv) -> int:
     runs = {}
     for n_q in sizes:
         bound, rng = _bound(n_q)
-        _batch_seconds(bound, rng, 3)  # warm-up
-        once = _batch_seconds(bound, rng, 5) / 5
-        count = max(1, int(BATCH_SECONDS / once))
-        runs[n_q] = (bound, rng, count, [])
+        _in_halves(bound, rng, HALF)  # warm-up
+        count = max(1, int(BATCH_SECONDS / _alone(bound, rng, 5)))
+        runs[n_q] = (bound, rng, count, [], [])
     for _ in range(args.rounds):
-        for bound, rng, count, per_iteration in runs.values():
-            per_iteration.append(_batch_seconds(bound, rng, count) / count)
-    print(f"{'n_q':>4} {'ops':>4} {'best_us':>9} {'median_us':>9}")
-    for n_q, (bound, _, _, per_iteration) in runs.items():
-        best, median = min(per_iteration), statistics.median(per_iteration)
-        print(f"{n_q:4d} {len(bound._ops):4d} {1e6 * best:9.2f} {1e6 * median:9.2f}")
+        for bound, rng, count, alone, in_halves in runs.values():
+            alone.append(_alone(bound, rng, count))
+            in_halves.append(_in_halves(bound, rng, count))
+    print(f"{'n_q':>4} {'ops':>4} {'best_us':>9} {'median_us':>9} {'half_best_us':>12} "
+          f"{'half_median_us':>14}")
+    for n_q, (bound, _, _, alone, in_halves) in runs.items():
+        times = [1e6 * f(t) for t in (alone, in_halves) for f in (min, statistics.median)]
+        print(f"{n_q:4d} {len(bound._ops):4d} {times[0]:9.2f} {times[1]:9.2f} {times[2]:12.2f} "
+              f"{times[3]:14.2f}")
     return 0
 
 
