@@ -270,7 +270,7 @@ class _Compiled(NamedTuple):
 
     ops: tuple  # per op, bind(src, dst, tables) -> the op as one prebound call
     groups: tuple  # per P shape, (stacked P^T, slice of gathered draws, slice of phases)
-    gather: np.ndarray  # draw indices a stage gathers: the groups', the tilts', the factorized ops'
+    gather: np.ndarray  # draw indices a stage gathers: groups', tilts', factorized ops'
     tilts: np.ndarray  # draw index of each Hadamard, in rotation-table order
     loose: slice  # of the gathered draws: the factorized ops'
     ideal: np.ndarray  # the stage's ideal phases: the groups' tables, then pi/4 per tilt
@@ -543,7 +543,9 @@ class BoundProgram:
         """The stage of a block of rows rows, as prebound numpy calls on the
         shared block: (its gathered draws, the calls)."""
         compiled, staged = self._compiled, self._staged
-        block, gathered, phases = (a[:rows] for a in (staged.block, staged.gathered, staged.phases))
+        block, gathered, phases = (
+            a[:rows] for a in (staged.block, staged.gathered, staged.phases)
+        )
         # every call takes its out array positionally: through a partial, a
         # keyword costs about 0.2 us per call
         calls = []
