@@ -4,6 +4,14 @@ extraction of their decay laws."""
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# One OpenBLAS thread per process, set before numpy loads: every BLAS call
+# here is below OpenBLAS's threading threshold, so a second thread would
+# only spin, and the parallelism comes from processes.  A value the user
+# set still wins.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .echo import EchoConfig, EchoRecord, initial_state, realization_rng, run_echo_curve, run_trace
 from .echo import StateVector, fidelity, partial_trace_12
 from .engine import BoundProgram

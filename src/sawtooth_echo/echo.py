@@ -22,7 +22,9 @@ public initial_state, partial_trace_12 and fidelity.
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +141,10 @@ class EchoConfig:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        # SeedSequence splits a seed into 32-bit words, so a larger one keys
+        # the stream of a smaller key: (2**32, t_r, r) draws (0, 1, t_r)'s
+        if not 0 <= self.master_seed < 2**32:
+            raise ValueError(f"master_seed must lie in [0, 2**32), got {self.master_seed}")
         if self.t_r is not None and self.t_r < 0:
             raise ValueError(f"t_r must be >= 0, got {self.t_r}")
         _processes_that_fit(self)
@@ -257,10 +261,34 @@ def _reduce_measures(rho: np.ndarray, fidelities: np.ndarray, out: np.ndarray) -
 def _bind_echo(n_q: int, K: float):
     """The forward map iteration and its inverse, bound to one new register
     (forward.amps) and one shared scratch buffer: the two halves of an echo
-    never overlap."""
+    never overlap.  A process binds once per (n_q, K) of its run
+    (_bound_echo), and every task it runs rewrites the register."""
     amps = np.empty(1 << n_q, dtype=np.complex128)
     forward = BoundProgram(map_program(MapParams(n_q, K)), amps)
     return forward, forward.inverse()
+
+
+class _OpenRun(threading.local):
+    """The run open in this thread (see workers), which a fork worker of its
+    pool inherits: the process count its tasks split for, its pool (None
+    while its tasks run in this thread) and the binding its tasks share,
+    ((n_q, K), forward, backward)."""
+
+    processes = None
+    pool = None
+    binding = None
+
+
+_open = _OpenRun()
+
+
+def _bound_echo(n_q: int, K: float):
+    """The forward and backward programs of (n_q, K), bound by the first
+    task this process runs for them and reused by the rest of the run."""
+    if _open.binding is None or _open.binding[0] != (n_q, K):
+        _open.binding = None  # the old register goes before the new one is bound
+        _open.binding = ((n_q, K), *_bind_echo(n_q, K))
+    return _open.binding[1:]
 
 
 def _echo_steps(forward, backward, rng, epsilon: float, t_r: int):
@@ -291,7 +319,7 @@ def _echo_block(task) -> np.ndarray:
     """
     config, t_r, first, count, record_trace = task
     first_step = 0 if record_trace else 2 * t_r
-    forward, backward = _bind_echo(config.n_q, config.K)
+    forward, backward = _bound_echo(config.n_q, config.K)
     amps = forward.amps
     out = np.empty((count, 2 * t_r + 1 - first_step, 3))
     rows = out.reshape(-1, 3)
@@ -315,20 +343,62 @@ def _echo_block(task) -> np.ndarray:
     return out
 
 
+def _processes(config) -> int:
+    """The processes config's tasks may use: the worker count capped at the
+    CPUs and at the tasks that fit in memory."""
+    return min(config.workers or math.inf, _cpus(), _processes_that_fit(config))
+
+
+def _chunks(config, t_rs, processes: int) -> int:
+    """Realization chunks per reversal time: about four tasks per process
+    over the whole run, at least one per reversal time and at most one per
+    realization."""
+    return min(config.realizations, -(-4 * processes // len(t_rs)))
+
+
+@contextmanager
+def workers(runs):
+    """Open the processes of a command's echo runs, runs being its
+    (config, t_rs) pairs, and yield how many run: the fewest that any run's
+    config allows (_processes), decided once.
+
+    The pool, one for every run, has at most as many processes as the
+    largest run has tasks, and none when that is one: a fork pool starts
+    all its processes at once.  Inside an open run it yields that run's
+    count and opens nothing.  On exit the pool closes, so no worker and no
+    worker's binding outlives the command, and this thread drops its
+    binding.
+    """
+    if _open.processes is not None:
+        yield _open.processes
+        return
+    runs = list(runs)
+    processes = min(_processes(config) for config, _ in runs)
+    tasks = max(len(t_rs) * _chunks(config, t_rs, processes) for config, t_rs in runs)
+    with ExitStack() as stack:
+        if min(processes, tasks) > 1:
+            pool = ProcessPoolExecutor(max_workers=min(processes, tasks))
+            _open.pool = stack.enter_context(pool)
+        _open.processes = processes
+        try:
+            yield processes
+        finally:
+            _open.processes = _open.pool = _open.binding = None
+
+
 def _scatter(tasks, processes: int):
     """Run tasks, the last one first, and return their results in task order.
 
-    _run lists tasks in increasing t_r, so the longest start first.  The pool
-    is no larger than the process count _run decided, nor than the task
-    count: a fork pool starts all its processes at once.  Aggregation
-    downstream folds realizations in index order, so the result is
-    independent of scheduling.
+    _run lists tasks in increasing t_r, so the longest start first.  They
+    run on the open run's pool, or in this process when it has none or
+    when one process is all they need.  Each process binds its registers
+    once (_bound_echo).  Aggregation downstream folds realizations in index
+    order, so the result is independent of scheduling.
     """
-    processes = min(processes, len(tasks))
-    if processes <= 1:
+    pool = _open.pool
+    if pool is None or min(processes, len(tasks)) <= 1:
         return [_echo_block(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(_echo_block, tasks[::-1]))[::-1]
+    return list(pool.map(_echo_block, tasks[::-1]))[::-1]
 
 
 def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
@@ -340,20 +410,20 @@ def _aggregate(t: int, block: np.ndarray) -> EchoRecord:
 def _run(config: EchoConfig, t_rs, record_trace: bool) -> list:
     """Records of every reversal time in t_rs, in order: one per recorded step.
 
-    The processes that run are the worker count capped at the CPUs and at
-    the tasks that fit in memory, and the split follows them: about four
-    (reversal time, realization chunk) tasks per process over the whole
-    run, at least one per reversal time and at most one per realization.
+    The split follows the processes that run (see workers: those of the
+    open run, or of a run opened for this one): about four (reversal time,
+    realization chunk) tasks per process over the whole run, at least one
+    per reversal time and at most one per realization.
     """
-    processes = min(config.workers or math.inf, _cpus(), _processes_that_fit(config))
-    chunks = min(config.realizations, -(-4 * processes // len(t_rs)))
-    split = np.array_split(np.arange(config.realizations), chunks)
-    tasks = [
-        (config, t_r, int(chunk[0]), len(chunk), record_trace)
-        for t_r in t_rs
-        for chunk in split
-    ]
-    results = _scatter(tasks, processes)
+    with workers([(config, t_rs)]) as processes:
+        chunks = _chunks(config, t_rs, processes)
+        split = np.array_split(np.arange(config.realizations), chunks)
+        tasks = [
+            (config, t_r, int(chunk[0]), len(chunk), record_trace)
+            for t_r in t_rs
+            for chunk in split
+        ]
+        results = _scatter(tasks, processes)
     records = []
     for i, t_r in enumerate(t_rs):
         block = np.concatenate(results[i * chunks : (i + 1) * chunks], axis=0)

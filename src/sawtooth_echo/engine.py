@@ -610,6 +610,10 @@ class BoundProgram:
         staged = self._staged
         np.copyto(staged.row, staged.block[staged.next])
         staged.next += 1
+        if staged.next == staged.stop:
+            # no row waits, so nothing to check against the source, which
+            # would keep the program and its buffers in a reference cycle
+            staged.source = None
         for op in self._ops:
             op()
         if self._result is not self.amps:

@@ -14,7 +14,7 @@ only up to an O(1) factor.
 import math
 from dataclasses import dataclass, field
 
-from .echo import EchoConfig, EchoRecord, run_echo_curve
+from .echo import EchoConfig, EchoRecord, run_echo_curve, workers
 from .fits import (
     FitResult,
     entropy_rate,
@@ -223,7 +223,9 @@ def run_scaling(config: ScalingConfig, write_curve) -> dict:
     EchoConfig, as soon as the point ends; summarize_curves then fits them,
     and they are dropped before the next point starts.  So the parent holds
     one point's records at a time, as the memory rule counts them, and a run
-    that fails part-way has written every point that ended.
+    that fails part-way has written every point that ended.  Every point
+    runs on one set of processes (echo.workers): the fewest any point
+    allows, and one pool, closed before this returns or raises.
     """
 
     def simulated(point):
@@ -231,7 +233,8 @@ def run_scaling(config: ScalingConfig, write_curve) -> dict:
         write_curve(point, records)
         return point.n_q, point.epsilon, records
 
-    return summarize_curves(map(simulated, config.echo_configs), config.c)
+    with workers((point, point.t_r_grid) for point in config.echo_configs):
+        return summarize_curves(map(simulated, config.echo_configs), config.c)
 
 
 def summarize_curves(curves, c: float) -> dict:

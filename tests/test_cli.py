@@ -2,10 +2,12 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from sawtooth_echo import cli, echo, scaling
-from sawtooth_echo.echo import EchoConfig, run_trace
+from sawtooth_echo.echo import EchoConfig, realization_rng, run_trace
 from sawtooth_echo.engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS
 from sawtooth_echo.measures import ergodic_entropy_reference
 from sawtooth_echo.output import (
@@ -515,6 +517,92 @@ def test_manifest_command_mismatch_exits_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"manifest records command {recorded_command!r}" in err
         assert not replay.exists()
+
+
+def test_master_seeds_from_2_to_the_32_are_refused_before_any_task(tmp_path, capsys, monkeypatch):
+    # SeedSequence splits a seed into 32-bit words: 2**32 is the words
+    # (0, 1), so its stream at (t_r, r) = (7, 0) is seed 0's at (1, 7)
+    assert realization_rng(2**32, 7, 0).random() == realization_rng(0, 1, 7).random()
+    out = tmp_path / "run.csv"
+    assert run_cli(*trace_args(out, seed=2**32 - 1)) == 0
+    manifest = manifest_path_for(out)
+    recorded = load_manifest(manifest)
+    write_manifest(manifest, {**recorded, "master_seed": 2**32})
+    for seed in (2**32, 2**63):
+        with pytest.raises(ValueError, match="master_seed"):
+            EchoConfig(n_q=3, epsilon=0.01, t_r=2, master_seed=seed)
+    monkeypatch.setattr(echo, "_scatter", lambda *a: pytest.fail("a task started"))
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    runs = [
+        ["trace", "--nq", 3, "--tr", 2, "--epsilon", 0.01, "--out", refused / "t.csv"],
+        ["echo-curve", "--nq", 3, "--tr-grid", "1,2", "--epsilon", 0.01, "--out", refused / "c.csv"],
+        ["scaling", "--nq-list", 3, "--epsilon-list", 0.01, "--tr-grid", "1,2",
+         "--out", refused / "s.json"],
+    ]
+    for args in runs:
+        for seed in (2**32, 2**63):
+            assert run_cli(*args, "--seed", seed, "--threads", 2) == 1
+    assert run_cli("trace", "--from-manifest", manifest, "--out", refused / "r.csv") == 1
+    assert list(refused.iterdir()) == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 7 and all("master_seed must lie in [0, 2**32)" in line for line in err)
+
+
+def test_scaling_closes_its_one_pool_when_it_returns_or_raises(tmp_path, monkeypatch):
+    # a real fork pool, two processes whatever the host: one for the whole
+    # four-point run, and no process left once the command returns, nor
+    # once a run fails part-way
+    pools = []
+
+    def executor(max_workers):
+        pools.append(ProcessPoolExecutor(max_workers=max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(echo, "_cpus", lambda: 2)
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", executor)
+    args = ["scaling", "--nq-list", "3,4", "--epsilon-list", "0.01,0.02", "--tr-grid", "1,2",
+            "--realizations", 2, "--threads", 2]
+    assert run_cli(*args, "--out", tmp_path / "s.json") == 0
+    assert len(pools) == 1 and multiprocessing.active_children() == []
+    assert len(list((tmp_path / "s_curves").glob("*.csv"))) == 4
+
+    def write_curve(point, records):
+        raise OSError("disk full")
+
+    config = scaling.ScalingConfig(
+        nq_list=(3, 4), epsilon_list=(0.01,), t_r_grid=(1, 2), realizations=2, workers=2
+    )
+    with pytest.raises(OSError, match="disk full"):
+        scaling.run_scaling(config, write_curve)
+    assert len(pools) == 2 and multiprocessing.active_children() == []
+
+
+def test_cli_timer_prints_one_row_per_checkout(tmp_path):
+    # tools/time_cli.py for one pair of this checkout against itself: a
+    # header and one row per checkout, the quartiles of one run each
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, str(root / "tools" / "time_cli.py"), "--pairs", "1", root, root, "--",
+         "trace", "--nq", "3", "--tr", "2", "--epsilon", "0.01", "--realizations", "2",
+         "--threads", "2", "--out", "t.csv"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    measures = ("wall_s", "cpu_s", "minflt")
+    assert header.split() == ["checkout"] + [
+        f"{m}_{q}" for m in measures for q in ("q1", "median", "q3")
+    ]
+    assert len(rows) == 2
+    for row in rows:
+        checkout, *cells = row.split()
+        assert Path(checkout) == root
+        values = [float(cell) for cell in cells]
+        assert all(v > 0 for v in values[:6]) and values[6] >= 0
+        # one run: its quartiles are its value
+        assert all(len(set(values[i : i + 3])) == 1 for i in (0, 3, 6))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_runs_commands():

@@ -1,8 +1,10 @@
 """Echo protocol: initial state, noiseless identity, reproducibility."""
 
+import gc
 import math
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sawtooth_echo import (
     initial_state,
     partial_trace_12,
     run_echo_curve,
+    run_scaling,
     run_trace,
     von_neumann_entropy,
 )
@@ -246,6 +249,60 @@ def test_processes_never_outgrow_the_memory_of_their_tasks(monkeypatch):
         records = run_trace(EchoConfig(**config, workers=2))
         assert records == run_trace(EchoConfig(**config, workers=1))
     assert pool.sizes == [2]
+
+
+def _scaled_curves(config):
+    """(summary, {(n_q, epsilon): records}) of a scaling run."""
+    curves = {}
+
+    def write_curve(point, records):
+        curves[point.n_q, point.epsilon] = records
+
+    return run_scaling(config, write_curve), curves
+
+
+def test_a_scaling_run_shares_one_pool_decided_by_its_tightest_point(monkeypatch):
+    # the four points run on one pool, sized once: the n_q = 4 points admit
+    # two processes by the memory rule, the n_q = 3 ones eight, so every
+    # point splits for two (three chunks of each reversal time's four
+    # realizations) and the pool has two
+    pool = InlinePool()
+    monkeypatch.setattr(echo, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(echo, "_cpus", lambda: 3)
+    monkeypatch.setattr(echo, "_processes_that_fit", lambda config: 2 if config.n_q == 4 else 8)
+    grid = dict(nq_list=(3, 4), epsilon_list=(0.01, 0.03), t_r_grid=(1, 2, 4), realizations=4)
+    pooled = _scaled_curves(ScalingConfig(**grid, master_seed=3, workers=3))
+    assert pool.sizes == [2]
+    assert len(pool.submitted) == 4 * 3 * 3
+    assert pooled == _scaled_curves(ScalingConfig(**grid, master_seed=3, workers=1))
+    assert pool.sizes == [2]
+
+
+def test_a_process_binds_once_per_register_and_frees_it_with_its_run(monkeypatch):
+    # one process runs every task, (n_q, t_r, realization chunk) at a time:
+    # it binds each n_q once, drops that register before binding the next,
+    # and keeps none once the run returns.  The cyclic collector stays off,
+    # so a register that outlives its last reference shows
+    registers = []
+
+    def bind(program, amps):
+        assert all(register() is None for register in registers)
+        registers.append(weakref.ref(amps))
+        return engine.BoundProgram(program, amps)
+
+    monkeypatch.setattr(echo, "BoundProgram", bind)
+    config = ScalingConfig(
+        nq_list=(3, 4), epsilon_list=(0.01, 0.03), t_r_grid=(1, 2, 4), realizations=3, workers=1
+    )
+    gc.disable()
+    try:
+        run_scaling(config, lambda point, records: None)
+        assert len(registers) == 2 and registers[-1]() is None
+        run_trace(EchoConfig(n_q=5, epsilon=0.02, t_r=3, realizations=5, workers=1))
+        assert len(registers) == 3 and registers[-1]() is None
+    finally:
+        gc.enable()
+    assert echo._open.binding is None
 
 
 def test_a_long_half_stages_no_more_than_the_block_budget(monkeypatch):

@@ -346,6 +346,48 @@ def test_amplitudes_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
+#: the bundled OpenBLAS's thread count once sawtooth_echo is imported,
+#: read as perfbench/run.py's fingerprint reads it; None without one
+_BLAS_THREADS_PROBE = """
+import ctypes, glob, os
+import sawtooth_echo
+import numpy
+threads = None
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, prefix + "_get_num_threads" + suffix, None)
+            if get is not None and threads is None:
+                get.restype = ctypes.c_int
+                threads = get()
+print(threads)
+"""
+
+
+def test_package_pins_one_blas_thread_unless_the_user_sets_one():
+    # every BLAS call is below OpenBLAS's threading threshold and the
+    # parallelism comes from processes, so a second thread would only spin
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts one thread on one CPU, pinned or not")
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    counts = []
+    for threads in (None, "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_PROBE],
+            capture_output=True, text=True, timeout=120,
+            env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert run.returncode == 0, run.stderr
+        if run.stdout.strip() == "None":
+            pytest.skip("numpy bundles no OpenBLAS library")
+        counts.append(int(run.stdout))
+    assert counts == [1, 2]
+
+
 def test_iteration_timer_prints_one_row_per_register():
     # tools/time_iteration.py at one n_q for one round: a header and one
     # row, with the time of an iteration alone and inside a half-echo
