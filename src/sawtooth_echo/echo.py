@@ -269,10 +269,10 @@ def _bind_echo(n_q: int, K: float):
 
 
 class _OpenRun(threading.local):
-    """The run open in this thread (see workers), which a fork worker of its
-    pool inherits: the process count its tasks split for, its pool (None
-    while its tasks run in this thread) and the binding its tasks share,
-    ((n_q, K), forward, backward)."""
+    """The run open in this thread (see workers): the process count its
+    tasks split for, its pool (None while its tasks run in this thread),
+    and the binding the tasks that run here share, ((n_q, K), forward,
+    backward).  A pool worker keeps its binding until the pool closes."""
 
     processes = None
     pool = None

@@ -404,8 +404,8 @@ def staged_block(program: GateProgram, applications: int) -> tuple:
 class _Staged:
     """What a bound program and its inverse share of their staged rows: the
     row their ops read, the block of rows with the gathered draws and phases
-    a stage evaluates them from, which rows of the block wait, and their
-    source, (program, generator, epsilon)."""
+    a stage evaluates them from, which rows of the block wait, and, while
+    some do, their source, (program, generator, epsilon)."""
 
     __slots__ = ("row", "block", "gathered", "phases", "next", "stop", "source")
 
@@ -611,8 +611,8 @@ class BoundProgram:
         np.copyto(staged.row, staged.block[staged.next])
         staged.next += 1
         if staged.next == staged.stop:
-            # no row waits, so nothing to check against the source, which
-            # would keep the program and its buffers in a reference cycle
+            # the source would keep the program, and with it the buffers,
+            # in a reference cycle that only the cyclic collector frees
             staged.source = None
         for op in self._ops:
             op()
