@@ -24,7 +24,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,16 +258,6 @@ def _reduce_measures(rho: np.ndarray, fidelities: np.ndarray, out: np.ndarray) -
     out[:, 2] = fidelities
 
 
-def _bind_echo(n_q: int, K: float):
-    """The forward map iteration and its inverse, bound to one new register
-    (forward.amps) and one shared scratch buffer: the two halves of an echo
-    never overlap.  A process binds once per (n_q, K) of its run
-    (_bound_echo), and every task it runs rewrites the register."""
-    amps = np.empty(1 << n_q, dtype=np.complex128)
-    forward = BoundProgram(map_program(MapParams(n_q, K)), amps)
-    return forward, forward.inverse()
-
-
 class _OpenRun(threading.local):
     """The run open in this thread (see workers): the process count its
     tasks split for, its pool (None while its tasks run in this thread),
@@ -282,12 +272,17 @@ class _OpenRun(threading.local):
 _open = _OpenRun()
 
 
-def _bound_echo(n_q: int, K: float):
-    """The forward and backward programs of (n_q, K), bound by the first
-    task this process runs for them and reused by the rest of the run."""
+def _bind_echo(n_q: int, K: float):
+    """The forward map iteration and its inverse, bound to one register
+    (forward.amps) and one shared scratch buffer: the two halves of an echo
+    never overlap.  A process binds them for the first task of (n_q, K)
+    that it runs, after dropping any other binding, and every later task of
+    the run reuses them: each rewrites the register."""
     if _open.binding is None or _open.binding[0] != (n_q, K):
         _open.binding = None  # the old register goes before the new one is bound
-        _open.binding = ((n_q, K), *_bind_echo(n_q, K))
+        amps = np.empty(1 << n_q, dtype=np.complex128)
+        forward = BoundProgram(map_program(MapParams(n_q, K)), amps)
+        _open.binding = ((n_q, K), forward, forward.inverse())
     return _open.binding[1:]
 
 
@@ -319,7 +314,7 @@ def _echo_block(task) -> np.ndarray:
     """
     config, t_r, first, count, record_trace = task
     first_step = 0 if record_trace else 2 * t_r
-    forward, backward = _bound_echo(config.n_q, config.K)
+    forward, backward = _bind_echo(config.n_q, config.K)
     amps = forward.amps
     out = np.empty((count, 2 * t_r + 1 - first_step, 3))
     rows = out.reshape(-1, 3)
@@ -362,12 +357,12 @@ def workers(runs):
     (config, t_rs) pairs, and yield how many run: the fewest that any run's
     config allows (_processes), decided once.
 
-    The pool, one for every run, has at most as many processes as the
-    largest run has tasks, and none when that is one: a fork pool starts
-    all its processes at once.  Inside an open run it yields that run's
-    count and opens nothing.  On exit the pool closes, so no worker and no
-    worker's binding outlives the command, and this thread drops its
-    binding.
+    The pool, one for every run, has no more processes than the largest
+    run has tasks (a fork pool starts all its processes at once), and there
+    is none when that leaves one process.  Inside an open run it yields
+    that run's count and opens nothing.  On exit the pool closes, so no
+    worker and no worker's binding outlives the command, and this thread
+    drops its binding.
     """
     if _open.processes is not None:
         yield _open.processes
@@ -375,15 +370,14 @@ def workers(runs):
     runs = list(runs)
     processes = min(_processes(config) for config, _ in runs)
     tasks = max(len(t_rs) * _chunks(config, t_rs, processes) for config, t_rs in runs)
-    with ExitStack() as stack:
-        if min(processes, tasks) > 1:
-            pool = ProcessPoolExecutor(max_workers=min(processes, tasks))
-            _open.pool = stack.enter_context(pool)
-        _open.processes = processes
-        try:
+    size = min(processes, tasks)
+    _open.pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    _open.processes = processes
+    try:
+        with _open.pool or nullcontext():
             yield processes
-        finally:
-            _open.processes = _open.pool = _open.binding = None
+    finally:
+        _open.processes = _open.pool = _open.binding = None
 
 
 def _scatter(tasks, processes: int):
@@ -392,7 +386,7 @@ def _scatter(tasks, processes: int):
     _run lists tasks in increasing t_r, so the longest start first.  They
     run on the open run's pool, or in this process when it has none or
     when one process is all they need.  Each process binds its registers
-    once (_bound_echo).  Aggregation downstream folds realizations in index
+    once (_bind_echo).  Aggregation downstream folds realizations in index
     order, so the result is independent of scheduling.
     """
     pool = _open.pool
