@@ -1,20 +1,15 @@
 """Built-in verification suite: gate programs against dense oracles,
 measure fixtures, the noiseless-echo identity, and the exact reversal of a
-noisy echo under mirrored draws."""
+noisy echo under mirrored draws.  The noisy checks bind registers of their
+own, so no echo binding (echo._bind_echo) outlives a check."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import (
-    EchoConfig,
-    _bind_echo,
-    _echo_steps,
-    _write_initial_state,
-    realization_rng,
-    run_trace,
-)
+from .echo import EchoConfig, _echo_steps, _write_initial_state, realization_rng, run_trace
+from .engine import BoundProgram
 from .measures import (
     bell_density,
     concurrence,
@@ -124,8 +119,9 @@ def check_noiseless_echo(n_q: int = 6, t_r: int = 10) -> CheckResult:
 
 def check_noisy_norm_preservation(n_q: int = 6, t_r: int = 20) -> CheckResult:
     """Unitary noise must keep the state normalized over a full experiment."""
-    forward, backward = _bind_echo(n_q, 5.0)
-    amps = forward.amps
+    amps = np.empty(1 << n_q, dtype=np.complex128)
+    forward = BoundProgram(map_program(MapParams(n_q, 5.0)), amps)
+    backward = forward.inverse()
     _write_initial_state(amps)
     for _ in _echo_steps(forward, backward, realization_rng(7, t_r, 0), 0.03, t_r):
         pass
@@ -144,8 +140,9 @@ def check_noisy_echo_reversibility(epsilon: float = 0.3, t_r: int = 5) -> CheckR
     wholesale, the negative control, it must miss."""
     worst, control = 0.0, math.inf
     for n_q in (6, 9):
-        forward, backward = _bind_echo(n_q, 5.0)
-        amps = forward.amps
+        amps = np.empty(1 << n_q, dtype=np.complex128)
+        forward = BoundProgram(map_program(MapParams(n_q, 5.0)), amps)
+        backward = forward.inverse()
         _write_initial_state(amps)
         start = amps.copy()
         rng = realization_rng(11, t_r, 0)

@@ -476,6 +476,45 @@ def test_manifest_missing_key_exits_one(tmp_path, capsys, key):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+_HOSTILE_VALUES = [
+    0, -1, 2**63, 10**12, 1e308, -1e308, math.inf, -math.inf, math.nan, "", "1..", "a", True,
+    None, [],
+]
+_MANIFEST_CASES = [
+    (command, key, value)
+    for command, grid in (("trace", "t_r"), ("echo-curve", "t_r_grid"))
+    for key in ("n_q", "epsilon", "K", grid, "realizations", "master_seed", "csv")
+    for value in _HOSTILE_VALUES + ([[1, 10**12], [2, 1], ["a"]] if key == "t_r_grid" else [])
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "key", "value"), _MANIFEST_CASES,
+    ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in _MANIFEST_CASES],
+)
+def test_manifest_entries_are_admitted_or_refused_in_one_line(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    # every key a replay reads, at hostile values: the replay runs (its
+    # tasks stubbed, so t_r_grid = [1, 10**12] runs no iteration) or exits
+    # 1 or 3 with one line, no traceback and no file written
+    def scatter(tasks, processes):  # (config, t_r, first, count, record_trace) each
+        return [np.zeros((task[3], 2 * task[1] + 1 if task[4] else 1, 3)) for task in tasks]
+
+    monkeypatch.setattr(echo, "_scatter", scatter)
+    grid = {"t_r": 2} if command == "trace" else {"t_r_grid": (1, 2)}
+    config = EchoConfig(n_q=3, epsilon=0.02, realizations=2, master_seed=5, **grid)
+    manifest = tmp_path / "run.manifest.json"
+    recorded = cli._base_manifest(command, config, tmp_path / "run.csv")
+    manifest.write_text(json.dumps({**recorded, key: value}))
+    code = run_cli(command, "--from-manifest", manifest, "--threads", 1)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if code:
+        assert list(tmp_path.iterdir()) == [manifest]
+
+
 @pytest.mark.parametrize("absolute", [False, True], ids=["parent-relative", "absolute"])
 def test_manifest_csv_entry_must_be_a_bare_file_name(tmp_path, capsys, monkeypatch, absolute):
     # a replay writes beside its manifest; a csv entry with a directory part
@@ -603,6 +642,30 @@ def test_cli_timer_prints_one_row_per_checkout(tmp_path):
         # one run: its quartiles are its value
         assert all(len(set(values[i : i + 3])) == 1 for i in (0, 3, 6))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_code_line_counter_counts_code_and_names_a_missing_path(tmp_path):
+    # tools/count_code_lines.py: a docstring, a comment and blank lines are
+    # not code; a path that does not exist exits 1 with one line naming it
+    tool = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
+    source = tmp_path / "small.py"
+    source.write_text('"""A module\ndocstring."""\n\n# a comment\nx = 1  # and another\n'
+                      "def f():\n    \"\"\"Doc.\"\"\"\n    return (x,\n            2)\n")
+    run = subprocess.run(
+        [sys.executable, str(tool), str(source)], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert [line.split() for line in run.stdout.splitlines()] == [
+        ["4", str(source)], ["4", "total"]
+    ]
+    missing = tmp_path / "missing"
+    for arg in (str(missing), "--help"):
+        run = subprocess.run(
+            [sys.executable, str(tool), arg], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.count("\n") == 1 and arg in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def test_module_entry_point_runs_commands():

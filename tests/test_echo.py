@@ -25,6 +25,7 @@ from sawtooth_echo import (
 )
 from sawtooth_echo import MapParams, echo, engine, map_program
 from sawtooth_echo.echo import _record_measures, _reduce_measures
+from sawtooth_echo.verify import run_checks
 
 
 def test_initial_state_two_qubits():
@@ -302,6 +303,13 @@ def test_a_process_binds_once_per_register_and_frees_it_with_its_run(monkeypatch
         assert len(registers) == 3 and registers[-1]() is None
     finally:
         gc.enable()
+    assert echo._open.binding is None
+
+
+def test_verify_leaves_no_echo_binding_behind():
+    # the noisy checks bind registers of their own; an echo binding made
+    # outside any run would keep its register until the next run's first task
+    assert all(check.passed for check in run_checks())
     assert echo._open.binding is None
 
 

@@ -388,6 +388,23 @@ def test_package_pins_one_blas_thread_unless_the_user_sets_one():
     assert counts == [1, 2]
 
 
+def test_iteration_timer_runs_on_one_blas_thread():
+    # the timer imports the package before numpy, so the package's pin
+    # applies to the iterations it times; runpy loads it without its main
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts one thread on one CPU, pinned or not")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "time_iteration.py"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    probe = f"import runpy\nrunpy.run_path({str(tool)!r})" + _BLAS_THREADS_PROBE
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    if run.stdout.strip() == "None":
+        pytest.skip("numpy bundles no OpenBLAS library")
+    assert int(run.stdout) == 1
+
+
 def test_iteration_timer_prints_one_row_per_register():
     # tools/time_iteration.py at one n_q for one round: a header and one
     # row, with the time of an iteration alone and inside a half-echo

@@ -6,7 +6,8 @@ Usage: python tools/count_code_lines.py [PATH ...]   (default: src)
 A directory counts every *.py file under it.  tokenize finds the lines
 that hold code; ast finds the docstrings (the leading string statement of
 a module, class or function), whose lines are then dropped.  Prints one
-line per file and a total.
+line per file and a total; a path that does not exist exits 1 with one
+line on stderr.
 """
 
 import ast
@@ -55,6 +56,9 @@ def main(argv) -> int:
     paths = []
     for arg in argv or ["src"]:
         root = Path(arg)
+        if not root.exists():
+            print(f"error: no such file or directory: {arg}", file=sys.stderr)
+            return 1
         paths.extend(sorted(root.rglob("*.py")) if root.is_dir() else [root])
     total = 0
     for path in paths:

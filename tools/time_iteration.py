@@ -12,8 +12,8 @@ of the half remain, so the engine stages the half's noise in blocks.  A
 round times one batch of each per n_q, the n_q interleaved, and a batch is
 sized to take about 20 ms.  Prints one line per n_q: the op count, then
 the best and the median time per iteration over the rounds, alone and
-inside a half, in microseconds.  Pin the BLAS threads
-(OPENBLAS_NUM_THREADS=1) to compare runs.
+inside a half, in microseconds.  The package is imported before numpy, so
+its one-thread OpenBLAS pin applies unless OPENBLAS_NUM_THREADS is set.
 """
 
 import argparse
@@ -22,12 +22,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+# the package first: it pins OpenBLAS to one thread before numpy loads
 from sawtooth_echo import MapParams, map_program  # noqa: E402
 from sawtooth_echo.engine import BoundProgram  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 EPSILON = 0.01
 BATCH_SECONDS = 0.02
