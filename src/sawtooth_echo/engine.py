@@ -22,13 +22,15 @@ by its factor exp(i * phase).  The ops read one row of tables: the factor
 of every diagonal whose phase matrix fits _DENSE_PHASE_BYTES, each
 Hadamard's rotation and kron diagonals, and the draws of the larger
 diagonals, which evaluate their own phases and factor in one shared region
-when they run, so applying a program allocates no table.  A bound program
-stages these rows a block at a time: one stage evaluates the rows of every
-application in the block, one batched matmul per group of same-shape phase
-matrices, then one add of the ideal phases (pi/4 for a tilt), one cos and
-one sin for all of them, and the rotation and kron fills.  Each application
-then copies its row into the tables the ops read and runs the ops.  A
-program's inverse binds to the same buffers and block (see BoundProgram).
+when they run, so applying a program allocates no table.  A stage evaluates
+the rows of one or more applications at once: one batched matmul per group
+of same-shape phase matrices, then one add of the ideal phases (pi/4 for a
+tilt), one cos and one sin for all of them, and the rotation and kron
+fills.  One application stages straight into the row the ops read; a noisy
+run of more stages a block of rows, and each of its applications copies
+its row into the row the ops read and runs the ops, so only a noisy run's
+block waits.  A program's inverse binds to the same buffers, row and block
+(see BoundProgram).
 Draws are consumed in program order: a block of applications draws one
 uniform (rows, draw_count) matrix from the caller's generator, which is bit
 for bit the rows drawn one vector at a time.  The echo protocol stages each
@@ -80,9 +82,11 @@ _DENSE_PHASE_BYTES = 256 * 1024
 #: bytes of the block of staged rows a bound program and its inverse hold
 #: (see BoundProgram): the rows of the tables its ops read, with the draws,
 #: gathered draws and phases a stage evaluates them from.  A block holds as
-#: many rows as fit, at least one: 21 at n_q = 5, 14 at 6, 5 at 8 and 2 at
-#: n_q = 10..19, where a row's cos and sin dominate and staging more rows at
-#: once saves nothing.  Fixed, so the block never depends on the processes.
+#: many rows as fit, at least one: 21 at n_q = 5, 14 at 6, 5 at 8, 4 at 9, 2
+#: at n_q = 10..16 and 1 from 17, where every application stages into the
+#: row the ops read.  From n_q = 10 a row's cos and sin dominate and staging
+#: more rows at once saves nothing.  Fixed, so the block never depends on
+#: the processes.
 _STAGE_BYTES = 256 * 1024
 
 #: amplitude registers a bound program and its inverse hold between them:
@@ -300,8 +304,9 @@ def _compile(program, phase_budget, kron_max_stride):
     diagonals' draws.  Those diagonals run one at a time, so each takes the
     start of one shared region, as long as the largest factorized table.
 
-    Cached, because every echo task binds the same forward and backward
-    programs to fresh buffers.
+    Cached: the memory rule prices every config by its map's row
+    (staged_block) before any task runs, and forked pool workers inherit
+    that compile from the parent.
     """
     ops = []
     dense = {}  # P shape -> [(op index, view shape, P, ideal table, draw span)]
@@ -378,14 +383,6 @@ def _compile(program, phase_budget, kron_max_stride):
     )
 
 
-@lru_cache(maxsize=32)
-def _compile_inverse(program, phase_budget, kron_max_stride):
-    """A program's inverse and its compiled form, built once per program:
-    every echo task binds the backward program of the same forward one."""
-    inverse = program.inverse()
-    return inverse, _compile(inverse, phase_budget, kron_max_stride)
-
-
 def _rows_that_fit(compiled) -> int:
     """The rows of a block under _STAGE_BYTES, at least one (an empty
     program's rows take no bytes)."""
@@ -403,17 +400,17 @@ def staged_block(program: GateProgram, applications: int) -> tuple:
 
 class _Staged:
     """What a bound program and its inverse share of their staged rows: the
-    row their ops read, the block of rows with the gathered draws and phases
-    a stage evaluates them from, which rows of the block wait, and, while
-    some do, their source, (program, generator, epsilon)."""
+    row their ops read, the block of a noisy run's rows with the gathered
+    draws and phases a stage evaluates them from, which rows of the block
+    wait, and, while some do, their source, (program, generator, epsilon)."""
 
     __slots__ = ("row", "block", "gathered", "phases", "next", "stop", "source")
 
     def __init__(self, compiled):
         # zeros: a kron matrix only ever has its diagonals written
         self.row = np.zeros(compiled.width)
-        # a block of one row is the row itself, which its copy then skips
-        self.block = self.row[None]
+        self.block = np.zeros((0, compiled.width))
+        # one row of each, which the stages of one application read
         self.gathered = np.empty((1, compiled.gather.size))
         self.phases = np.empty((1, compiled.ideal.size))
         self.next = self.stop = 0
@@ -446,29 +443,32 @@ class BoundProgram:
     tables (the whole register from n_q = 9 in a map iteration); so no op
     allocates a table when it runs.
 
-    Rows are staged a block at a time, one row per application.  One stage
-    gathers the block's draws, evaluates each group of dense diagonals
-    (grouped by the shape of P) as one batched matmul of the rows' draws by
-    the stacked P^T, puts each Hadamard's tilt beside them, and then one add
-    of the ideal phases (pi/4 for a tilt), one cos and one sin fill the
-    rows' factors; three assignments write the tilts' rotations from them,
-    and one per kron stride their kron diagonals.  An application then
-    copies its row into the row the ops read and calls each op with no
-    arguments.  apply(draws) is a block of one row.  apply_noisy stages, when
-    no row waits, the next min(remaining, capacity) applications from one
-    uniform draw, capacity being the rows _STAGE_BYTES holds.
+    A stage evaluates one row per application: it gathers the rows'
+    draws, evaluates each group of dense diagonals (grouped by the shape of
+    P) as one batched matmul of the rows' draws by the stacked P^T, puts
+    each Hadamard's tilt beside them, and then one add of the ideal phases
+    (pi/4 for a tilt), one cos and one sin fill the rows' factors; three
+    assignments write the tilts' rotations from them, and one per kron
+    stride their kron diagonals.  One application, apply(draws),
+    apply_ideal or a noisy run of one, stages straight into the row the ops
+    read.  apply_noisy stages, when no row waits, the next
+    min(remaining, capacity) applications from one uniform draw, capacity
+    being the rows _STAGE_BYTES holds; two or more go into the block, where
+    they wait, and each application copies its row into the row the ops
+    read.  Every op then runs with no arguments.  The stage of one row is
+    bound with the ops, and the stage of each block size once.
 
     inverse() binds to the same amps, scratch, region, row and block, so the
-    two must not run at the same time, and neither may stage while the
-    other's rows wait.  Compilation is done once per program and its
-    inverse, and binding takes every view once, so repeated applications
-    (thousands per echo experiment) do only arithmetic.  amps must stay the
-    C-contiguous complex128 array the views were taken from.
+    two must not run at the same time, and neither may stage a block while
+    the other's rows wait; one application of either runs at any time.
+    Binding takes every view once, so repeated applications (thousands per
+    echo experiment) do only arithmetic.  amps must stay the C-contiguous
+    complex128 array the views were taken from.
     """
 
     __slots__ = (
         "amps", "draw_count", "_program", "_compiled", "_buffers", "_staged", "_capacity",
-        "_stages", "_ops", "_result",
+        "_stages", "_one", "_ops", "_result",
     )
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
@@ -494,6 +494,7 @@ class BoundProgram:
         self._capacity = _rows_that_fit(compiled)
         self._stages = (None, {})  # (the block they are bound to, {rows: stage})
         row = self._staged.row
+        self._one = self._bind_stage(row[None], self._staged.gathered[:1], self._staged.phases[:1])
         krons = []
         for stride, _, count, span in compiled.krons:
             krons.extend(row[span].reshape(count, 2 * stride, 2 * stride))
@@ -509,17 +510,12 @@ class BoundProgram:
         ]
         self._result = buffers[len(self._ops) % 2]
 
-    def _refuse_waiting_rows(self, call: str) -> None:
-        waiting = self._staged.stop - self._staged.next
-        if waiting:
-            raise ValueError(f"{call} while {waiting} staged applications wait to run")
-
     def inverse(self) -> "BoundProgram":
         """The inverse program bound to this program's buffers, so the two
         must not run at the same time."""
-        self._refuse_waiting_rows("inverse()")
         # the same gates reversed have the same tables, so the same row layout
-        program, compiled = _compile_inverse(self._program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
+        program = self._program.inverse()
+        compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
         inverse = object.__new__(BoundProgram)
         inverse._bind(program, compiled, self._buffers)
         return inverse
@@ -539,13 +535,11 @@ class BoundProgram:
         sign = [s for span, s in reversed(gates) for _ in span]
         return draws[index] * sign
 
-    def _bind_stage(self, rows: int) -> tuple:
-        """The stage of a block of rows rows, as prebound numpy calls on the
-        shared block: (its gathered draws, the calls)."""
-        compiled, staged = self._compiled, self._staged
-        block, gathered, phases = (
-            a[:rows] for a in (staged.block, staged.gathered, staged.phases)
-        )
+    def _bind_stage(self, block, gathered, phases) -> tuple:
+        """The stage of the rows of block, as prebound numpy calls that
+        evaluate them from gathered draws through phases: (gathered, the
+        calls)."""
+        compiled, rows = self._compiled, len(block)
         # every call takes its out array positionally: through a partial, a
         # keyword costs about 0.2 us per call
         calls = []
@@ -589,31 +583,30 @@ class BoundProgram:
         return gathered, calls
 
     def _stage(self, draws: np.ndarray) -> None:
-        """Evaluate one row of tables per row of draws into the block."""
+        """Evaluate one row of tables per row of draws: one row straight into
+        the row the ops read, more into the block, whose rows then wait."""
         rows, staged = len(draws), self._staged
-        staged.hold(rows)
-        if self._stages[0] is not staged.block:  # bound to a block since outgrown
-            self._stages = (staged.block, {})
-        stages = self._stages[1]
-        if rows not in stages:
-            stages[rows] = self._bind_stage(rows)
-        gathered, calls = stages[rows]
+        if rows == 1:
+            gathered, calls = self._one
+        else:
+            staged.hold(rows)
+            if self._stages[0] is not staged.block:  # bound to a block since outgrown
+                self._stages = (staged.block, {})
+            stages = self._stages[1]
+            if rows not in stages:
+                stages[rows] = self._bind_stage(
+                    *(a[:rows] for a in (staged.block, staged.gathered, staged.phases))
+                )
+            gathered, calls = stages[rows]
+            staged.next, staged.stop = 0, rows
         # every index is in range; mode="clip" writes out directly, where
         # the default mode buffers it
         draws.take(self._compiled.gather, axis=1, out=gathered, mode="clip")
         for call in calls:
             call()
-        staged.next, staged.stop = 0, rows
 
-    def _run_next(self) -> None:
-        """Copy the next staged row into the row the ops read and run them."""
-        staged = self._staged
-        np.copyto(staged.row, staged.block[staged.next])
-        staged.next += 1
-        if staged.next == staged.stop:
-            # the source would keep the program, and with it the buffers,
-            # in a reference cycle that only the cyclic collector frees
-            staged.source = None
+    def _run(self) -> None:
+        """Run the ops on the row they read."""
         for op in self._ops:
             op()
         if self._result is not self.amps:
@@ -621,13 +614,11 @@ class BoundProgram:
 
     def apply(self, draws: np.ndarray) -> None:
         """One application at the given draws, draw_count of them in program
-        order: one per Hadamard tilt, (d0, d1) per phase-type gate; staged as
-        a block of one row, so no staged row may be waiting."""
+        order: one per Hadamard tilt, (d0, d1) per phase-type gate."""
         if draws.shape != (self.draw_count,):
             raise ValueError(f"expected {self.draw_count} draws, got shape {draws.shape}")
-        self._refuse_waiting_rows("apply()")
         self._stage(draws[None])
-        self._run_next()
+        self._run()
 
     def apply_ideal(self) -> None:
         """The program without noise: every op at zero draws."""
@@ -641,8 +632,10 @@ class BoundProgram:
         included.  A call that finds no staged row draws the next
         min(remaining, capacity) applications as one uniform
         (rows, draw_count) matrix, bit for bit the draws of that many calls
-        one at a time, and stages them; it and the calls after it each apply
-        one row, and must pass the same rng and epsilon.
+        one at a time.  One row it stages straight into the row the ops
+        read; more it stages into the block, and it and the calls after it
+        each copy one row of the block and apply it, and must pass the same
+        rng and epsilon.
         """
         staged = self._staged
         if staged.next == staged.stop:
@@ -650,10 +643,18 @@ class BoundProgram:
                 raise ValueError(f"remaining applications must be >= 1, got {remaining}")
             rows = min(remaining, self._capacity)
             self._stage(rng.uniform(-epsilon, epsilon, (rows, self.draw_count)))
-            staged.source = (self, rng, epsilon)
+            if rows > 1:
+                staged.source = (self, rng, epsilon)
         elif staged.source != (self, rng, epsilon) or staged.stop - staged.next > remaining:
             raise ValueError(
                 f"{staged.stop - staged.next} staged applications wait to run from another "
                 "program, generator or epsilon, or beyond the remaining count"
             )
-        self._run_next()
+        if staged.next < staged.stop:  # the block's next row, which the ops read once copied
+            np.copyto(staged.row, staged.block[staged.next])
+            staged.next += 1
+            if staged.next == staged.stop:
+                # the source would keep the program, and with it the buffers,
+                # in a reference cycle that only the cyclic collector frees
+                staged.source = None
+        self._run()

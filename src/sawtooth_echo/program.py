@@ -188,8 +188,9 @@ def qft_program(n_q: int) -> GateProgram:
 @lru_cache(maxsize=16)
 def map_program(params: MapParams) -> GateProgram:
     """One forward map iteration as a gate program; .inverse() is the exact
-    gate-by-gate backward iteration.  Cached: a run checks and binds the
-    same iteration in every task, and a program is immutable.
+    gate-by-gate backward iteration.  Cached, since a program is immutable:
+    the memory rule builds every config's map before any task runs, and the
+    tasks of this process, or of a pool worker forked from it, bind it.
 
     The free rotation is written on qubit n_q + 1 - q, the QFT ladder's
     output order; with R the reversal, R @ diag(free) @ R is that same

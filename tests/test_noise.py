@@ -477,6 +477,16 @@ def test_blocked_half_at_zero_noise_is_the_ideal_program():
     np.testing.assert_array_equal(blocked.amps, ideal.amps)
 
 
+@pytest.mark.parametrize(
+    ("n_q", "rows"), [(5, 21), (6, 14), (8, 5), (9, 4), (10, 2), (16, 2), (17, 1)]
+)
+def test_block_capacity_follows_the_stage_budget(n_q, rows):
+    # the table of _STAGE_BYTES's comment and the README: from n_q = 17 a
+    # block holds one row, so every application stages into the row the
+    # ops read
+    assert engine.staged_block(map_program(MapParams(n_q, 5.0)), 10**6)[0] == rows
+
+
 def test_half_longer_than_the_block_splits_into_blocks(monkeypatch):
     # a budget of three rows splits an 8-iteration half into blocks of 3,
     # 3 and 2 rows, which together draw and apply what 8 single calls do;
@@ -502,9 +512,11 @@ def test_half_longer_than_the_block_splits_into_blocks(monkeypatch):
 
 
 def test_waiting_rows_are_never_discarded():
-    # while a block's rows wait, apply(draws), inverse(), the inverse's
-    # noisy call, another generator or epsilon, and a remaining count
-    # below the waiting rows raise, and the half then runs on unchanged
+    # while a block's rows wait, the inverse's noisy call, another generator
+    # or epsilon, and a remaining count below the waiting rows raise; apply,
+    # apply_ideal, the inverse's apply and inverse() stage into the row the
+    # ops read, so they run between two waiting rows, and the half then ends
+    # where a single-row reference making the same calls does
     n_q, t_r, epsilon = 4, 5, 0.1
     program = map_program(MapParams(n_q, 5.0))
     start = random_state(n_q, np.random.default_rng(24)).amps
@@ -514,9 +526,6 @@ def test_waiting_rows_are_never_discarded():
     bound.apply_noisy(rng, epsilon, t_r)
     before = bound.amps.copy()
     refused = [
-        lambda: bound.apply(np.zeros(bound.draw_count)),
-        bound.apply_ideal,
-        bound.inverse,
         lambda: backward.apply_noisy(rng, epsilon, t_r - 1),
         lambda: bound.apply_noisy(realization_rng(4, t_r, 0), epsilon, t_r - 1),
         lambda: bound.apply_noisy(rng, 2 * epsilon, t_r - 1),
@@ -526,12 +535,24 @@ def test_waiting_rows_are_never_discarded():
         with pytest.raises(ValueError):
             call()
     np.testing.assert_array_equal(bound.amps, before)
-    for remaining in range(t_r - 1, 0, -1):
+    bound.apply_noisy(rng, epsilon, t_r - 1)
+    draws = np.random.default_rng(25).uniform(-epsilon, epsilon, bound.draw_count)
+
+    def between(forward, backward):
+        forward.apply(draws)
+        forward.apply_ideal()
+        backward.apply(forward.mirror(draws))
+        return forward.inverse()
+
+    between(bound, backward).apply_ideal()
+    for remaining in range(t_r - 2, 0, -1):
         bound.apply_noisy(rng, epsilon, remaining)
     reference = realization_rng(4, t_r, 0)
-    for _ in range(t_r):
+    for step in range(t_r):
+        if step == 2:
+            between(single, single.inverse()).apply_ideal()
         single.apply(reference.uniform(-epsilon, epsilon, single.draw_count))
+    assert rng.bit_generator.state == reference.bit_generator.state
     assert np.abs(bound.amps - single.amps).max() < 1e-13
     with pytest.raises(ValueError):
         bound.apply_noisy(rng, epsilon, 0)
-    bound.inverse().apply_ideal()  # nothing waits any more
