@@ -72,38 +72,36 @@ def _processes_that_fit(config) -> int:
     the parent holds; the one memory rule, which refuses a run where none
     fits.
 
-    A task holds TASK_BYTES_PER_AMPLITUDE * 2**n_q bytes and the block of
-    noise its longest half stages (engine.staged_block): at most the rows
-    of the engine's fixed budget, whatever t_r.  The parent holds 24 bytes
-    of observables per recorded snapshot (every task's rows and one point's
-    concatenated copy) and _RECORD_BYTES per record.  A grid is sized with
-    len(), so a range is refused before it is listed, and the map is built
-    to price the block (refusing an overflowing K) only once its registers
-    fit.
+    A task holds TASK_BYTES_PER_AMPLITUDE * 2**n_q bytes and the staging
+    its binding allocates (engine.staged_block): the row its ops read and
+    the rows of the engine's fixed budget, whatever t_r.  The parent holds
+    24 bytes of observables per recorded snapshot (every task's rows and
+    one point's concatenated copy) and _RECORD_BYTES per record.  A grid is
+    sized with len(), so a range is refused before it is listed, and the
+    map is built to price the staging (refusing an overflowing K) only once
+    its registers fit.
     """
     memory = math.prod(map(os.sysconf, ("SC_PAGE_SIZE", "SC_PHYS_PAGES")))
     if config.t_r_grid is None:
         records, where = 2 * (config.t_r or 0) + 1, f"t_r = {config.t_r}"
-        snapshots, longest = 2 * records, config.t_r or 0
+        snapshots = 2 * records
     else:
         records = len(config.t_r_grid)
         snapshots, where = records + 1, f"a {records}-point t_r grid"
-        # its last value, the longest once EchoConfig checks the grid
-        longest = max(config.t_r_grid[-1:], default=0)
     parent = 24 * config.realizations * snapshots + _RECORD_BYTES * records
     # (memory - parent) // (TASK_BYTES_PER_AMPLITUDE * 2**n_q), without forming 2**n_q
     processes = ((memory - parent) // TASK_BYTES_PER_AMPLITUDE) >> config.n_q
-    rows = block = 0
+    rows = staging = 0
     if processes >= 1:
-        rows, block = staged_block(_map(config), longest)
-        processes = (memory - parent) // ((TASK_BYTES_PER_AMPLITUDE << config.n_q) + block)
+        rows, staging = staged_block(_map(config))
+        processes = (memory - parent) // ((TASK_BYTES_PER_AMPLITUDE << config.n_q) + staging)
     if processes < 1:
         raise ValueError(
             f"an n_q = {config.n_q} echo task ({TASK_REGISTERS} registers and phase tables, "
-            f"{TASK_BYTES_PER_AMPLITUDE} * 2**{config.n_q} bytes, and {rows} staged rows of "
-            f"noise, {block} bytes) beside the {parent} bytes that {config.realizations} "
-            f"realizations at {where} leave in the parent need more than the {memory} bytes "
-            f"of physical memory"
+            f"{TASK_BYTES_PER_AMPLITUDE} * 2**{config.n_q} bytes, and its staging of {rows} "
+            f"rows of noise, {staging} bytes) beside the {parent} bytes that "
+            f"{config.realizations} realizations at {where} leave in the parent need more "
+            f"than the {memory} bytes of physical memory"
         )
     return processes
 

@@ -29,8 +29,8 @@ tilt), one cos and one sin for all of them, and the rotation and kron
 fills.  One application stages straight into the row the ops read; a noisy
 run of more stages a block of rows, and each of its applications copies
 its row into the row the ops read and runs the ops, so only a noisy run's
-block waits.  A program's inverse binds to the same buffers, row and block
-(see BoundProgram).
+block waits.  A program's inverse binds to the same buffers, row and block,
+all allocated at bind (see BoundProgram).
 Draws are consumed in program order: a block of applications draws one
 uniform (rows, draw_count) matrix from the caller's generator, which is bit
 for bit the rows drawn one vector at a time.  The echo protocol stages each
@@ -79,14 +79,14 @@ _KRON_MAX_STRIDE = 8
 #: binds stop growing at n_q = 10.
 _DENSE_PHASE_BYTES = 256 * 1024
 
-#: bytes of the block of staged rows a bound program and its inverse hold
-#: (see BoundProgram): the rows of the tables its ops read, with the draws,
-#: gathered draws and phases a stage evaluates them from.  A block holds as
-#: many rows as fit, at least one: 21 at n_q = 5, 14 at 6, 5 at 8, 4 at 9, 2
-#: at n_q = 10..16 and 1 from 17, where every application stages into the
-#: row the ops read.  From n_q = 10 a row's cos and sin dominate and staging
-#: more rows at once saves nothing.  Fixed, so the block never depends on
-#: the processes.
+#: bytes of the staged rows a bound program and its inverse hold (see
+#: BoundProgram): the rows of the tables its ops read, with the draws,
+#: gathered draws and phases a stage evaluates them from.  Their capacity is
+#: as many rows as fit, at least one: 21 at n_q = 5, 14 at 6, 5 at 8, 4 at 9,
+#: 2 at n_q = 10..16 and 1 from 17, where the block has no rows and every
+#: application stages into the row the ops read.  From n_q = 10 a row's cos
+#: and sin dominate and staging more rows at once saves nothing.  Fixed, so
+#: the staging never depends on the processes or on t_r.
 _STAGE_BYTES = 256 * 1024
 
 #: amplitude registers a bound program and its inverse hold between them:
@@ -97,8 +97,8 @@ TASK_REGISTERS = 2
 #: registers, 16 bytes each, and the float phase and complex factor table
 #: (8 + 16 bytes per entry) that the factorized diagonals share, which spans
 #: the whole register once the full-register diagonals of a map iteration
-#: factorize (from n_q = 9).  The block of staged rows is counted apart
-#: (staged_block); its rows stop growing at n_q = 10.
+#: factorize (from n_q = 9).  The staging is counted apart (staged_block);
+#: its rows stop growing at n_q = 10.
 TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
 
 
@@ -384,44 +384,40 @@ def _compile(program, phase_budget, kron_max_stride):
 
 
 def _rows_that_fit(compiled) -> int:
-    """The rows of a block under _STAGE_BYTES, at least one (an empty
-    program's rows take no bytes)."""
+    """The capacity of a binding's staging under _STAGE_BYTES, at least one
+    row (an empty program's rows take no bytes)."""
     return max(1, _STAGE_BYTES // max(1, compiled.row_bytes))
 
 
-def staged_block(program: GateProgram, applications: int) -> tuple:
-    """(rows, bytes) of the block a bound program stages for a run of
-    `applications` noisy applications (see BoundProgram.apply_noisy): as
-    many rows as the run has, up to what _STAGE_BYTES holds."""
+def staged_block(program: GateProgram) -> tuple:
+    """(capacity, bytes) of the staging a bound program and its inverse
+    hold, all of it allocated at bind (see _Staged): the row the ops read
+    and capacity rows of block, draws, gathered draws and phases, whatever
+    the runs they apply.  At capacity 1, from n_q = 17, the block has no
+    rows and the count keeps its one, beside registers of 7 MB and more."""
     compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
-    rows = max(0, min(applications, _rows_that_fit(compiled)))
-    return rows, rows * compiled.row_bytes
+    capacity = _rows_that_fit(compiled)
+    return capacity, 8 * compiled.width + capacity * compiled.row_bytes
 
 
 class _Staged:
-    """What a bound program and its inverse share of their staged rows: the
-    row their ops read, the block of a noisy run's rows with the gathered
-    draws and phases a stage evaluates them from, which rows of the block
+    """What a bound program and its inverse share of their staging, all
+    allocated once at the capacity _rows_that_fit gives: the row their ops
+    read, the block of a noisy run's rows (none at capacity 1), the gathered
+    draws and phases a stage evaluates rows from, which rows of the block
     wait, and, while some do, their source, (program, generator, epsilon)."""
 
     __slots__ = ("row", "block", "gathered", "phases", "next", "stop", "source")
 
     def __init__(self, compiled):
+        capacity = _rows_that_fit(compiled)
         # zeros: a kron matrix only ever has its diagonals written
         self.row = np.zeros(compiled.width)
-        self.block = np.zeros((0, compiled.width))
-        # one row of each, which the stages of one application read
-        self.gathered = np.empty((1, compiled.gather.size))
-        self.phases = np.empty((1, compiled.ideal.size))
+        self.block = np.zeros((capacity if capacity > 1 else 0, compiled.width))
+        self.gathered = np.empty((capacity, compiled.gather.size))
+        self.phases = np.empty((capacity, compiled.ideal.size))
         self.next = self.stop = 0
         self.source = None
-
-    def hold(self, rows: int) -> None:
-        """Make room for a block of at least rows rows."""
-        if rows > len(self.block):
-            self.block = np.zeros((rows, self.row.size))
-            self.gathered = np.empty((rows, self.gathered.shape[1]))
-            self.phases = np.empty((rows, self.phases.shape[1]))
 
 
 class BoundProgram:
@@ -455,8 +451,10 @@ class BoundProgram:
     min(remaining, capacity) applications from one uniform draw, capacity
     being the rows _STAGE_BYTES holds; two or more go into the block, where
     they wait, and each application copies its row into the row the ops
-    read.  Every op then runs with no arguments.  The stage of one row is
-    bound with the ops, and the stage of each block size once.
+    read.  Every op then runs with no arguments.  The staging is allocated
+    at bind and never moves (_Staged), so every stage is bound once: the
+    stage of one row with the ops, and the stage of each block size on its
+    first run.
 
     inverse() binds to the same amps, scratch, region, row and block, so the
     two must not run at the same time, and neither may stage a block while
@@ -468,7 +466,7 @@ class BoundProgram:
 
     __slots__ = (
         "amps", "draw_count", "_program", "_compiled", "_buffers", "_staged", "_capacity",
-        "_stages", "_one", "_ops", "_result",
+        "_stages", "_ops", "_result",
     )
 
     def __init__(self, program: GateProgram, amps: np.ndarray):
@@ -490,11 +488,11 @@ class BoundProgram:
         self.amps = buffers[0]
         self.draw_count = compiled.draw_count
         self._buffers = buffers  # (amps, scratch, region phases, region factors, staged)
-        self._staged = buffers[4]
-        self._capacity = _rows_that_fit(compiled)
-        self._stages = (None, {})  # (the block they are bound to, {rows: stage})
-        row = self._staged.row
-        self._one = self._bind_stage(row[None], self._staged.gathered[:1], self._staged.phases[:1])
+        self._staged = staged = buffers[4]
+        self._capacity = len(staged.gathered)
+        row = staged.row
+        # rows -> stage: one row stages straight into the row the ops read
+        self._stages = {1: self._bind_stage(row[None], staged.gathered[:1], staged.phases[:1])}
         krons = []
         for stride, _, count, span in compiled.krons:
             krons.extend(row[span].reshape(count, 2 * stride, 2 * stride))
@@ -586,18 +584,12 @@ class BoundProgram:
         """Evaluate one row of tables per row of draws: one row straight into
         the row the ops read, more into the block, whose rows then wait."""
         rows, staged = len(draws), self._staged
-        if rows == 1:
-            gathered, calls = self._one
-        else:
-            staged.hold(rows)
-            if self._stages[0] is not staged.block:  # bound to a block since outgrown
-                self._stages = (staged.block, {})
-            stages = self._stages[1]
-            if rows not in stages:
-                stages[rows] = self._bind_stage(
-                    *(a[:rows] for a in (staged.block, staged.gathered, staged.phases))
-                )
-            gathered, calls = stages[rows]
+        if rows not in self._stages:  # a block size's first run
+            self._stages[rows] = self._bind_stage(
+                *(a[:rows] for a in (staged.block, staged.gathered, staged.phases))
+            )
+        gathered, calls = self._stages[rows]
+        if rows > 1:
             staged.next, staged.stop = 0, rows
         # every index is in range; mode="clip" writes out directly, where
         # the default mode buffers it

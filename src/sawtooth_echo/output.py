@@ -38,8 +38,8 @@ def write_csv(path, header, rows) -> None:
 
 def read_records_csv(path) -> list:
     """Read a trace or echo-curve CSV back into records; every time must be
-    an integer and every value a finite number, or the ValueError names the
-    file and the row."""
+    an integer that a float holds and every value a finite number, or the
+    ValueError names the file and the row."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
@@ -53,7 +53,8 @@ def read_records_csv(path) -> list:
             raise ValueError(f"{path}: malformed row {line!r}")
         try:
             t, values = int(cells[0]), [float(c) for c in cells[1:]]
-        except ValueError as exc:
+            float(t)  # the fits take every time as a float
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: unreadable value in row {line!r}: {exc}") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: non-finite value in row {line!r}")

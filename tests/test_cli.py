@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sawtooth_echo import cli, echo, scaling
+from sawtooth_echo import MapParams, cli, echo, map_program, scaling
 from sawtooth_echo.echo import EchoConfig, realization_rng, run_trace
-from sawtooth_echo.engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS
+from sawtooth_echo.engine import TASK_BYTES_PER_AMPLITUDE, TASK_REGISTERS, staged_block
 from sawtooth_echo.measures import ergodic_entropy_reference
 from sawtooth_echo.output import (
     CURVE_HEADER,
@@ -268,11 +268,15 @@ def test_register_too_large_exits_one(tmp_path, capsys, threads):
 
 
 def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
-    # physical memory of 2 MiB holds what an echo task needs per amplitude,
+    # physical memory of 3 MiB holds what an echo task needs, per amplitude
     # its TASK_REGISTERS registers of 16 bytes and the 24 bytes of its
-    # shared phase and factor table, up to n_q = 15
-    memory = 2 << 20
-    fits = max(n for n in range(1, 30) if TASK_BYTES_PER_AMPLITUDE << n <= memory)
+    # shared phase and factor table, and its binding's staging, up to n_q = 15
+    memory = 3 << 20
+
+    def task(n):  # the bytes of an n-qubit echo task
+        return (TASK_BYTES_PER_AMPLITUDE << n) + staged_block(map_program(MapParams(n, 5.0)))[1]
+
+    fits = max(n for n in range(2, 20) if task(n) <= memory)
     assert (TASK_REGISTERS, TASK_BYTES_PER_AMPLITUDE, fits) == (2, 56, 15)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -878,6 +882,45 @@ def test_scaling_from_csv_names_an_unreadable_cell(tmp_path, capsys, column, val
     assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
     assert f"{csv_path}: unreadable value in row {lines[5]!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_CSV_VALUES = [
+    "1" + "0" * 400, "-1", "0", "1e400", "-1e400", "nan", "inf", "1e308", "-0", " 3", "0x10",
+    "1_0", "", "3.5", "2", "9" * 20,
+]
+_CSV_CASES = [
+    (column, row, value)
+    for column in CURVE_HEADER
+    for row in ("first", "middle", "last")
+    for value in _CSV_VALUES
+]
+
+
+@pytest.mark.parametrize(
+    ("column", "row", "value"), _CSV_CASES,
+    ids=[f"{c}-{r}-{v[:12]}" for c, r, v in _CSV_CASES],
+)
+def test_csv_cells_are_admitted_or_refused_in_one_line(tmp_path, capsys, column, row, value):
+    # every column of a recorded curve, in its first, a middle and its last
+    # row, at hostile values: the fit runs or exits 1 or 3 with one line, no
+    # traceback and no summary.  A time too large for a float once ended in
+    # an OverflowError traceback in the threshold search
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    lines = csv_path.read_text().splitlines()
+    index = {"first": 1, "middle": len(lines) // 2, "last": len(lines) - 1}[row]
+    cells = lines[index].split(",")
+    cells[CURVE_HEADER.index(column)] = value
+    lines[index] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "summary.json"
+    code = run_cli("scaling", "--from-csv", csv_path, "--out", out)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if code:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("c", [1.5, 1.0, 0.0, -0.5])

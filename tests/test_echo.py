@@ -237,10 +237,13 @@ def test_workers_above_the_cpus_run_the_tasks_of_the_cpus(monkeypatch):
 
 
 def test_processes_never_outgrow_the_memory_of_their_tasks(monkeypatch):
-    # every process binds its own registers: 2 MiB holds two n_q = 14 echo
-    # tasks (56 * 2**14 bytes each) but one n_q = 15 task, which then runs
-    # without a pool, whatever the CPUs
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (2 << 20) // 4096}
+    # every process binds its own registers and staging: memory that holds
+    # two n_q = 14 echo tasks (56 * 2**14 bytes each and the staging) holds
+    # one n_q = 15 task, which then runs without a pool, whatever the CPUs
+    staging = engine.staged_block(map_program(MapParams(14, 5.0)))[1]
+    task = (engine.TASK_BYTES_PER_AMPLITUDE << 14) + staging
+    parent = 24 * 2 * 6 + 3 * echo._RECORD_BYTES  # t_r = 1: its observables and records
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": -(-(2 * task + parent) // 4096)}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     monkeypatch.setattr(echo, "_cpus", lambda: 2)
     pool = InlinePool()
@@ -314,31 +317,35 @@ def test_verify_leaves_no_echo_binding_behind():
 
 
 def test_a_long_half_stages_no_more_than_the_block_budget(monkeypatch):
-    # a task holds the noise its longest half stages, as many rows as the
-    # half has up to the engine's fixed budget: a 10**6-iteration half holds
-    # what a half of that many rows does, and fits where a second task of
-    # the same register does not
+    # a task holds the staging its binding allocates, the row its ops read
+    # and the rows of the engine's fixed budget, whatever its halves: a
+    # 10**6-iteration half costs what a one-iteration half does, and 2 MiB
+    # holds one such n_q = 14 task where memory for a second one holds two
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (2 << 20) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     program = map_program(MapParams(14, 5.0))
-    rows, block = engine.staged_block(program, 10**6)
-    assert 1 <= rows == block // engine.staged_block(program, 1)[1]
-    assert block <= engine._STAGE_BYTES
+    compiled = engine._compile(program, engine._DENSE_PHASE_BYTES, engine._KRON_MAX_STRIDE)
+    rows, staging = engine.staged_block(program)
+    assert staging == 8 * compiled.width + rows * compiled.row_bytes
+    assert 1 <= rows * compiled.row_bytes <= engine._STAGE_BYTES
     config = dict(n_q=14, epsilon=0.02, realizations=2)
-    long, short = (EchoConfig(**config, t_r_grid=(1, t_r)) for t_r in (10**6, rows))
+    long, short = EchoConfig(**config, t_r_grid=(1, 10**6)), EchoConfig(**config, t_r=1)
     assert echo._processes_that_fit(long) == echo._processes_that_fit(short) == 1
-    assert echo._processes_that_fit(EchoConfig(**config, t_r=1)) == 2
-    # memory that holds an n_q = 15 task with one staged row refuses the
-    # same task with two, and names them
-    program = map_program(MapParams(15, 5.0))
-    one, two = (engine.staged_block(program, t_r)[1] for t_r in (1, 2))
+    task = (engine.TASK_BYTES_PER_AMPLITUDE << 14) + staging
+    parent = 24 * 2 * 6 + 3 * echo._RECORD_BYTES  # t_r = 1: its observables and records
+    pages["SC_PHYS_PAGES"] = -(-(2 * task + parent) // 4096)
+    assert echo._processes_that_fit(long) == echo._processes_that_fit(short) == 2
+    # memory that holds an n_q = 15 task and its staging, to the page,
+    # refuses it a page short, and names the staging
+    rows, staging = engine.staged_block(map_program(MapParams(15, 5.0)))
     parent = 24 * 2 * 3 + 2 * echo._RECORD_BYTES  # the (1, 2) grid's observables and records
-    memory = (engine.TASK_BYTES_PER_AMPLITUDE << 15) + parent + one
+    memory = (engine.TASK_BYTES_PER_AMPLITUDE << 15) + parent + staging
     pages["SC_PHYS_PAGES"] = -(-memory // 4096)
-    assert memory + two - one > 4096 * pages["SC_PHYS_PAGES"]
-    assert echo._processes_that_fit(EchoConfig(n_q=15, epsilon=0.02, realizations=2, t_r_grid=(1,))) == 1
-    with pytest.raises(ValueError, match=f"2 staged rows of noise, {two} bytes"):
-        EchoConfig(n_q=15, epsilon=0.02, realizations=2, t_r_grid=(1, 2))
+    config = dict(n_q=15, epsilon=0.02, realizations=2, t_r_grid=(1, 2))
+    assert echo._processes_that_fit(EchoConfig(**config)) == 1
+    pages["SC_PHYS_PAGES"] -= 1
+    with pytest.raises(ValueError, match=f"its staging of {rows} rows of noise, {staging} bytes"):
+        EchoConfig(**config)
 
 
 def test_curve_records_independent_of_chunking(monkeypatch):

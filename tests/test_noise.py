@@ -484,7 +484,7 @@ def test_block_capacity_follows_the_stage_budget(n_q, rows):
     # the table of _STAGE_BYTES's comment and the README: from n_q = 17 a
     # block holds one row, so every application stages into the row the
     # ops read
-    assert engine.staged_block(map_program(MapParams(n_q, 5.0)), 10**6)[0] == rows
+    assert engine.staged_block(map_program(MapParams(n_q, 5.0)))[0] == rows
 
 
 def test_half_longer_than_the_block_splits_into_blocks(monkeypatch):
@@ -493,9 +493,10 @@ def test_half_longer_than_the_block_splits_into_blocks(monkeypatch):
     # the backward half then stages its own blocks on the shared block
     n_q, t_r, epsilon = 4, 8, 0.2
     program = map_program(MapParams(n_q, 5.0))
-    row_bytes = engine._compile(program, engine._DENSE_PHASE_BYTES, engine._KRON_MAX_STRIDE).row_bytes
+    compiled = engine._compile(program, engine._DENSE_PHASE_BYTES, engine._KRON_MAX_STRIDE)
+    row_bytes = compiled.row_bytes
     monkeypatch.setattr(engine, "_STAGE_BYTES", 3 * row_bytes + 1)
-    assert engine.staged_block(program, t_r) == (3, 3 * row_bytes)
+    assert engine.staged_block(program) == (3, 8 * compiled.width + 3 * row_bytes)
     start = random_state(n_q, np.random.default_rng(23)).amps
     forward = BoundProgram(program, start.copy())
     backward = forward.inverse()
@@ -509,6 +510,31 @@ def test_half_longer_than_the_block_splits_into_blocks(monkeypatch):
     for bound in [single] * t_r + [single_backward] * t_r:
         bound.apply(reference.uniform(-epsilon, epsilon, bound.draw_count))
     assert np.abs(forward.amps - single.amps).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_q", [5, 6, 12])
+def test_a_binding_allocates_no_staging_after_bind(n_q):
+    # the row, the block, the gathered draws and the phases are allocated
+    # at bind, at the capacity the stage budget gives; after one single
+    # application, a forward and a backward half longer than the block
+    # allocate less than one block: each block's draws, each block size's
+    # stage and numpy's ufunc buffer
+    program = map_program(MapParams(n_q, 5.0))
+    forward = BoundProgram(program, random_state(n_q, np.random.default_rng(24)).amps)
+    backward = forward.inverse()
+    forward.apply_ideal()
+    capacity = engine.staged_block(program)[0]
+    block = 8 * capacity * forward._compiled.width
+    t_r = capacity + 1
+    rng = realization_rng(4, t_r, 0)
+    tracemalloc.start()
+    try:
+        _half(forward, rng, 0.01, t_r)
+        _half(backward, rng, 0.01, t_r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
 
 
 def test_waiting_rows_are_never_discarded():
