@@ -97,7 +97,7 @@ def _processes_that_fit(config) -> int:
         processes = (memory - parent) // ((TASK_BYTES_PER_AMPLITUDE << config.n_q) + staging)
     if processes < 1:
         raise ValueError(
-            f"an n_q = {config.n_q} echo task ({TASK_REGISTERS} registers and phase tables, "
+            f"an n_q = {config.n_q} echo task ({TASK_REGISTERS} registers and a factor table, "
             f"{TASK_BYTES_PER_AMPLITUDE} * 2**{config.n_q} bytes, and its staging of {rows} "
             f"rows of noise, {staging} bytes) beside the {parent} bytes that "
             f"{config.realizations} realizations at {where} leave in the parent need more "

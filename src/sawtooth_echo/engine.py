@@ -21,16 +21,17 @@ with two ways to evaluate it, and every diagonal ends in the same multiply
 by its factor exp(i * phase).  The ops read one row of tables: the factor
 of every diagonal whose phase matrix fits _DENSE_PHASE_BYTES, each
 Hadamard's rotation and kron diagonals, and the draws of the larger
-diagonals, which evaluate their own phases and factor in one shared region
-when they run, so applying a program allocates no table.  A stage evaluates
-the rows of one or more applications at once: one batched matmul per group
-of same-shape phase matrices, then one add of the ideal phases (pi/4 for a
-tilt), one cos and one sin for all of them, and the rotation and kron
-fills.  One application stages straight into the row the ops read; a noisy
-run of more stages a block of rows, and each of its applications copies
-its row into the row the ops read and runs the ops, so only a noisy run's
-block waits.  A program's inverse binds to the same buffers, row and block,
-all allocated at bind (see BoundProgram).
+diagonals, which build their own factor when they run, in one shared
+region, as a product of high, cross and low factors, so applying a program
+allocates no table.  A stage evaluates the rows of one or more
+applications at once: one batched matmul per group of same-shape phase
+matrices, then one add of the ideal phases (pi/4 for a tilt), one cos and
+one sin for all of them, and the rotation and kron fills.  One
+application stages straight into the row the ops read; a noisy run of more
+stages a block of rows, and each of its applications copies its row into
+the row the ops read and runs the ops, so only a noisy run's block waits.
+A program's inverse binds to the same buffers, row and block, all
+allocated at bind (see BoundProgram).
 Draws are consumed in program order: a block of applications draws one
 uniform (rows, draw_count) matrix from the caller's generator, which is bit
 for bit the rows drawn one vector at a time.  The echo protocol stages each
@@ -71,12 +72,12 @@ _KRON_MAX_STRIDE = 8
 
 #: A fused diagonal whose phase matrix P (table entries x draws, float64)
 #: takes at most this many bytes evaluates its phases as one P @ draws
-#: matmul; a larger one keeps the factorized F_high @ C @ F_low^T.  The
-#: choice is fixed by the op's window and gate count: in a map iteration
-#: every diagonal is dense up to n_q = 8, the two full-register ones (free
-#: rotation and kick) factorize from n_q = 9, and the QFT ladders are dense
-#: up to a 10-qubit window at any n_q.  So the dense tables a map iteration
-#: binds stop growing at n_q = 10.
+#: matmul; a larger one builds its factor from its coefficients C (see
+#: _compile_diagonal).  The choice is fixed by the op's window and gate
+#: count: in a map iteration every diagonal is dense up to n_q = 8, the two
+#: full-register ones (free rotation and kick) factorize from n_q = 9, and
+#: the QFT ladders are dense up to a 10-qubit window at any n_q.  So the
+#: dense tables a map iteration binds stop growing at n_q = 10.
 _DENSE_PHASE_BYTES = 256 * 1024
 
 #: bytes of the staged rows a bound program and its inverse hold (see
@@ -94,12 +95,12 @@ _STAGE_BYTES = 256 * 1024
 TASK_REGISTERS = 2
 
 #: bytes a bound program and its inverse hold per amplitude: their
-#: registers, 16 bytes each, and the float phase and complex factor table
-#: (8 + 16 bytes per entry) that the factorized diagonals share, which spans
-#: the whole register once the full-register diagonals of a map iteration
-#: factorize (from n_q = 9).  The staging is counted apart (staged_block);
-#: its rows stop growing at n_q = 10.
-TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 24
+#: registers, 16 bytes each, and the complex factor table (16 bytes per
+#: entry) that the factorized diagonals share, which spans the whole
+#: register once the full-register diagonals of a map iteration factorize
+#: (from n_q = 9).  The staging is counted apart (staged_block); its rows
+#: stop growing at n_q = 10.
+TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 16
 
 
 def _bind_tilt(src, dst, tables, stride, row, kron):
@@ -136,8 +137,10 @@ def _features(m):
 
 def _multiply(src, dst, factors, shape):
     """The multiply every diagonal op ends in, as one prebound call: src
-    times factors, a column over the window index, into dst."""
-    return partial(np.multiply, src.reshape(shape), factors.reshape(-1, 1), dst.reshape(shape))
+    times factors, a column over the window index, into dst; 1-D when the
+    window is the whole register, which needs no broadcast."""
+    shape, column = ((-1,), -1) if shape[0] == shape[2] == 1 else (shape, (-1, 1))
+    return partial(np.multiply, src.reshape(shape), factors.reshape(column), dst.reshape(shape))
 
 
 def _bind_dense(src, dst, tables, shape, table):
@@ -168,10 +171,24 @@ def _compile_diagonal(n_q, gates, phase_budget):
     and the bound program's stage evaluates the factor.  Otherwise phases
     is None and bind(src, dst, tables, table, span) binds the op's own
     kernel, which fills C from its span of the row's draws on every
-    application and evaluates F_high @ C @ F_low^T and exp(i * phase) into
-    its slice of the shared phase and factor region, so no table-by-draws
-    matrix is ever formed, and only C and the F_high @ C product are the
-    op's own.
+    application and builds the factor in its slice of the shared factor
+    region without evaluating a phase per entry.  A monomial has at most
+    two bits, so of C's high rows (each bit, the constant, each pair) a
+    pair's row holds only its low-constant cell, and
+
+        phase(high bits h, low bits l) = sum_j h_j Y[j](l) + B(l) + A(h),
+
+    where [Y; B] = C[:high + 1] @ F_low^T holds the cross, high-only linear
+    and low-only terms and A = F_high's pair columns @ the pairs' cells.
+    One cos and one sin cover those (high + 1) * 2**low + 2**high angles
+    (512 at width 12, against 4096 entries).  Row 0 of the table is
+    exp(i * B); each high bit j, least significant first, doubles the rows
+    filled, the new rows the old ones times exp(i * Y[j]), one multiply of
+    contiguous blocks (columns would make numpy buffer all three strided
+    operands); and one multiply by exp(i * A), a column, completes it.
+    Every step is a call prebound at bind onto views; only C, its values,
+    the angles and their exponentials are the op's own, so no
+    table-by-draws matrix or phase table is formed.
     """
     terms = []  # (qubits, target last; phase)
     for gate in gates:
@@ -209,9 +226,9 @@ def _compile_diagonal(n_q, gates, phase_budget):
         # gates' factors would be
         offsets[both] += math.atan2(math.sin(phase), math.cos(phase))
 
-    high = width // 2
+    high, low = width // 2, width - width // 2
     f_high, high_column = _features(high)
-    f_low, low_column = _features(width - high)
+    f_low, low_column = _features(low)
     slots = np.array(
         [
             high_column[tuple(i for i in mono if i < high)] * f_low.shape[1]
@@ -231,25 +248,34 @@ def _compile_diagonal(n_q, gates, phase_budget):
             table.setflags(write=False)
         return shape, phases, None
 
-    f_low_t = f_low.T.copy()
-    for table in (f_low_t, weights, slots, offsets):
+    f_low_t, f_pairs = f_low.T.copy(), f_high[:, high + 1 :].copy()  # F_high's pair columns
+    angles = (high + 1) << low  # of [Y; B], before the 2**high of A
+    for table in (f_low_t, f_pairs, weights, slots, offsets):
         table.setflags(write=False)
 
     def bind(src, dst, tables, table, span):
-        phase, factor, d = tables.phases[table], tables.region[table], tables.draws[span]
-        multiply = _multiply(src, dst, factor, shape)
-        coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))
-        flat = coefficients.reshape(-1)
-        high_part = np.empty((f_high.shape[0], f_low.shape[1]))  # F_high @ C
-        phase_table = phase.reshape(f_high.shape[0], f_low_t.shape[1])
+        coefficients = np.zeros((f_high.shape[1], f_low.shape[1]))  # C
+        values, phases = np.empty(len(offsets)), np.empty(angles + (1 << high))
+        exps = np.empty_like(phases, dtype=np.complex128)
+        e, full = exps[:angles].reshape(high + 1, -1), tables.region[table].reshape(-1, 1 << low)
+        calls = [
+            partial(np.matmul, weights, tables.draws[span], values),
+            partial(np.add, values, offsets, values),
+            partial(coefficients.put, slots, values),
+            partial(np.matmul, coefficients[: high + 1], f_low_t, phases[:angles].reshape(e.shape)),
+            partial(np.matmul, f_pairs, coefficients[high + 1 :, low], phases[angles:]),
+            partial(np.cos, phases, exps.real),
+            partial(np.sin, phases, exps.imag),
+            partial(np.copyto, full[0], e[high]),
+        ]
+        for k in range(high):  # the high bit of value 2**k: Y's row high - 1 - k
+            calls.append(partial(np.multiply, full[: 1 << k], e[-2 - k], full[1 << k : 2 << k]))
+        calls.append(partial(np.multiply, full, exps[angles:, None], full))
+        calls.append(_multiply(src, dst, tables.region[table], shape))
 
-        def diagonal():  # dst = src * exp(i * F_high @ C @ F_low^T), as a column
-            flat[slots] = offsets + weights @ d
-            np.matmul(f_high, coefficients, out=high_part)
-            np.matmul(high_part, f_low_t, out=phase_table)
-            np.cos(phase, out=factor.real)
-            np.sin(phase, out=factor.imag)
-            multiply()
+        def diagonal():  # dst = src * exp(i * phase), as a column
+            for call in calls:
+                call()
 
         return diagonal
 
@@ -258,15 +284,14 @@ def _compile_diagonal(n_q, gates, phase_budget):
 
 class _Tables(NamedTuple):
     """The arrays a bound program's ops read besides their two buffers:
-    views of the row of tables an application copies in, and the region the
-    factorized diagonals share."""
+    views of the row of tables an application copies in, and the factor
+    region the factorized diagonals share."""
 
     factors: np.ndarray  # exp(i * phase) of the dense diagonals' tables, then of the tilts
     rotations: np.ndarray  # (tilts, 2, 2): M(d) of each Hadamard
     krons: list  # kron(M, I_L) of each kron Hadamard, by rotation row
     draws: np.ndarray  # the factorized diagonals' draws, op after op
-    phases: np.ndarray  # the factorized diagonals' region: its phases
-    region: np.ndarray  # and its factors
+    region: np.ndarray  # the factorized diagonals' shared factor table
 
 
 class _Compiled(NamedTuple):
@@ -433,11 +458,12 @@ class BoundProgram:
     The ops read one row of tables.  Every Hadamard and every dense diagonal
     (one whose phase matrix fits _DENSE_PHASE_BYTES) is one prebound numpy
     call, a matmul by its rotation M(d) or kron(M, I_L), or a multiply by
-    its complex factor, all views of the row.  The factorized diagonals keep
-    their kernel, which reads its draws from the row and evaluates its
-    phases and factor in one shared region, as long as the largest of their
-    tables (the whole register from n_q = 9 in a map iteration); so no op
-    allocates a table when it runs.
+    its complex factor, all views of the row (1-D when the diagonal spans
+    the register).  A factorized diagonal is a short list of prebound calls
+    that reads its draws from the row and builds its factor from high,
+    cross and low factors in one shared complex region, as long as the
+    largest of their tables (the whole register from n_q = 9 in a map
+    iteration); so no op allocates a table when it runs.
 
     A stage evaluates one row per application: it gathers the rows'
     draws, evaluates each group of dense diagonals (grouped by the shape of
@@ -456,9 +482,10 @@ class BoundProgram:
     stage of one row with the ops, and the stage of each block size on its
     first run.
 
-    inverse() binds to the same amps, scratch, region, row and block, so the
-    two must not run at the same time, and neither may stage a block while
-    the other's rows wait; one application of either runs at any time.
+    inverse() binds to the same amps, scratch, factor region, row and
+    block, so the two must not run at the same time, and neither may stage
+    a block while the other's rows wait; one application of either runs at
+    any time.
     Binding takes every view once, so repeated applications (thousands per
     echo experiment) do only arithmetic.  amps must stay the C-contiguous
     complex128 array the views were taken from.
@@ -478,8 +505,8 @@ class BoundProgram:
             raise ValueError("buffer must be a contiguous complex128 vector of length 2**n_q")
         # compiled once per bind: the cache key hashes every gate
         compiled = _compile(program, _DENSE_PHASE_BYTES, _KRON_MAX_STRIDE)
-        region = (np.empty(compiled.region), np.empty(compiled.region, dtype=np.complex128))
-        buffers = (amps, np.empty_like(amps), *region, _Staged(compiled))
+        region = np.empty(compiled.region, dtype=np.complex128)
+        buffers = (amps, np.empty_like(amps), region, _Staged(compiled))
         self._bind(program, compiled, buffers)
 
     def _bind(self, program, compiled, buffers):
@@ -487,8 +514,8 @@ class BoundProgram:
         self._compiled = compiled
         self.amps = buffers[0]
         self.draw_count = compiled.draw_count
-        self._buffers = buffers  # (amps, scratch, region phases, region factors, staged)
-        self._staged = staged = buffers[4]
+        self._buffers = buffers  # (amps, scratch, region, staged)
+        self._staged = staged = buffers[3]
         self._capacity = len(staged.gathered)
         row = staged.row
         # rows -> stage: one row stages straight into the row the ops read
@@ -501,7 +528,7 @@ class BoundProgram:
             row[compiled.rotations].reshape(compiled.tilts.size, 2, 2),
             krons,
             row[compiled.draws],
-            *buffers[2:4],
+            buffers[2],
         )
         self._ops = [
             bind(buffers[i % 2], buffers[1 - i % 2], tables) for i, bind in enumerate(compiled.ops)

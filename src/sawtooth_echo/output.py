@@ -38,8 +38,9 @@ def write_csv(path, header, rows) -> None:
 
 def read_records_csv(path) -> list:
     """Read a trace or echo-curve CSV back into records; every time must be
-    an integer that a float holds and every value a finite number, or the
-    ValueError names the file and the row."""
+    an integer that a float holds, not negative and above the row before
+    it, and every value a finite number, or the ValueError names the file
+    and the row."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
@@ -58,6 +59,8 @@ def read_records_csv(path) -> list:
             raise ValueError(f"{path}: unreadable value in row {line!r}: {exc}") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: non-finite value in row {line!r}")
+        if t < (records[-1].t + 1 if records else 0):
+            raise ValueError(f"{path}: negative, repeated or out-of-order time in row {line!r}")
         records.append(EchoRecord(t, *values))
     return records
 

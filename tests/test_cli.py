@@ -269,15 +269,15 @@ def test_register_too_large_exits_one(tmp_path, capsys, threads):
 
 def test_memory_guard_counts_every_task_register(tmp_path, capsys, monkeypatch):
     # physical memory of 3 MiB holds what an echo task needs, per amplitude
-    # its TASK_REGISTERS registers of 16 bytes and the 24 bytes of its
-    # shared phase and factor table, and its binding's staging, up to n_q = 15
+    # its TASK_REGISTERS registers of 16 bytes and the 16 bytes of its
+    # shared factor table, and its binding's staging, up to n_q = 15
     memory = 3 << 20
 
     def task(n):  # the bytes of an n-qubit echo task
         return (TASK_BYTES_PER_AMPLITUDE << n) + staged_block(map_program(MapParams(n, 5.0)))[1]
 
     fits = max(n for n in range(2, 20) if task(n) <= memory)
-    assert (TASK_REGISTERS, TASK_BYTES_PER_AMPLITUDE, fits) == (2, 56, 15)
+    assert (TASK_REGISTERS, TASK_BYTES_PER_AMPLITUDE, fits) == (2, 48, 15)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert EchoConfig(n_q=fits, epsilon=0.01, t_r=1).n_q == fits
@@ -881,6 +881,28 @@ def test_scaling_from_csv_names_an_unreadable_cell(tmp_path, capsys, column, val
     out = tmp_path / "summary.json"
     assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
     assert f"{csv_path}: unreadable value in row {lines[5]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("value", "refused"), [("-1", 0), ("2", 0), ("9" * 20, 1)])
+def test_scaling_from_csv_refuses_a_time_out_of_order(tmp_path, capsys, value, refused):
+    # echo-curve writes the strictly increasing times 2 t_r of its grid: a
+    # middle t_e that is negative, repeats the first row's or lies above the
+    # next row's once exited 0 with a fitted summary; the refused row is the
+    # one whose time is not above the row before it
+    csv_path = synth_curve_files(
+        tmp_path, n_q=6, epsilon=0.02, t_star=25.0, gamma=0.05, rate=0.012
+    )
+    lines = csv_path.read_text().splitlines()
+    index = len(lines) // 2
+    lines[index] = ",".join([value, *lines[index].split(",")[1:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "summary.json"
+    assert run_cli("scaling", "--from-csv", csv_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    row = lines[index + refused]
+    assert f"{csv_path}: negative, repeated or out-of-order time in row {row!r}" in err
     assert not out.exists()
 
 

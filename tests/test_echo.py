@@ -238,7 +238,7 @@ def test_workers_above_the_cpus_run_the_tasks_of_the_cpus(monkeypatch):
 
 def test_processes_never_outgrow_the_memory_of_their_tasks(monkeypatch):
     # every process binds its own registers and staging: memory that holds
-    # two n_q = 14 echo tasks (56 * 2**14 bytes each and the staging) holds
+    # two n_q = 14 echo tasks (48 * 2**14 bytes each and the staging) holds
     # one n_q = 15 task, which then runs without a pool, whatever the CPUs
     staging = engine.staged_block(map_program(MapParams(14, 5.0)))[1]
     task = (engine.TASK_BYTES_PER_AMPLITUDE << 14) + staging

@@ -216,23 +216,60 @@ def test_compiled_engine_matches_gate_by_gate_reference(n_q, monkeypatch):
             assert np.abs(bound.amps - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("epsilon", [0.01, math.pi])
+@pytest.mark.parametrize("window", [9, 10, 11, 12])
+def test_factorized_table_matches_the_dense_phase_evaluation(window, epsilon):
+    # the gate-by-gate reference takes 11 s at n_q = 10 and a 268 MB matrix
+    # per gate at 12, so the factorized kernel's table is checked directly,
+    # over a whole register, against exp(i * F_high @ C @ F_low^T) as the
+    # dense path evaluates it: a run of every phase shift and controlled
+    # phase, a phase-shift-only run, and the map's full-window runs (the
+    # free rotation, the kick and the first ladder of each QFT).  Both round
+    # the phase, so they agree within a few ulps of its largest value (at
+    # most 4.5 over 640 random runs), where |phase| reaches about 60
+    rng = np.random.default_rng(window)
+    qubits = range(1, window + 1)
+    mixed = [PhaseShift(q, rng.uniform(-8, 8)) for q in qubits]
+    pairs = itertools.combinations(qubits, 2)
+    mixed += [ControlledPhase(c, t, rng.uniform(-8, 8)) for c, t in pairs]
+    runs = [mixed, mixed[:window]]
+    for is_hadamard, run in itertools.groupby(
+        map_program(MapParams(window, 5.0)).gates, lambda g: isinstance(g, Hadamard)
+    ):
+        run = tuple(run)
+        if not is_hadamard and engine._compile_diagonal(window, run, math.inf)[0][1] >> window:
+            runs.append(run)
+    assert len(runs) == 6
+    for gates in runs:
+        draws = rng.uniform(-epsilon, epsilon, 2 * len(gates))
+        matrix, ideal = engine._compile_diagonal(window, gates, math.inf)[1]
+        phase = ideal + matrix @ draws
+        _, _, bind = engine._compile_diagonal(window, gates, 0)
+        region = np.empty(1 << window, complex)
+        tables = engine._Tables(None, None, None, draws=draws, region=region)
+        src, dst = np.ones(1 << window, complex), np.empty(1 << window, complex)
+        bind(src, dst, tables, table=slice(0, 1 << window), span=slice(0, draws.size))()
+        np.testing.assert_array_equal(dst, region)
+        assert np.abs(region - np.exp(1j * phase)).max() <= 8 * np.spacing(np.abs(phase).max())
+
+
 def test_dense_phase_tables_stop_growing_with_the_register():
     # the phases and factors a staged row holds for the dense diagonals are
     # bounded by the budget, and the same at n_q = 12 and 20; the Hadamard
-    # tilts follow them, and the factorized diagonals share one region, as
-    # long as the largest factorized table, with the inverse, which
-    # engine.TASK_BYTES_PER_AMPLITUDE counts
+    # tilts follow them, and the factorized diagonals share one factor
+    # region, as long as the largest factorized table, with the inverse,
+    # which engine.TASK_BYTES_PER_AMPLITUDE counts
     def tables(n_q):
         bound = BoundProgram(map_program(MapParams(n_q, 5.0)), np.zeros(1 << n_q, complex))
         assert bound.inverse()._buffers is bound._buffers
-        phases, factors = bound._buffers[2:4]
-        assert phases.size == factors.size
+        region = bound._buffers[2]
+        assert region.dtype == np.complex128
         compiled = bound._compiled
         dense = compiled.ideal.size - compiled.tilts.size
         assert compiled.tilts.size == 2 * n_q
         dense_ops = sum(len(matrices) for matrices, _, _ in compiled.groups)
         diagonals = len(bound._ops) - 2 * n_q  # all but the Hadamards
-        return 24 * dense, dense_ops, diagonals, phases.size
+        return 24 * dense, dense_ops, diagonals, region.size
 
     # every diagonal is dense up to n_q = 8; from 9 the free rotation and
     # the kick factorize, and the QFT ladders are dense up to 10 qubits
@@ -246,7 +283,7 @@ def test_dense_phase_tables_stop_growing_with_the_register():
     assert small[:2] == large[:2] == (24 * 2 * (2**11 - 4), 18)
     assert small[0] <= engine._DENSE_PHASE_BYTES
     assert (small[3], large[3]) == (2**12, 2**20)
-    assert 24 * 2**20 == (engine.TASK_BYTES_PER_AMPLITUDE - 16 * engine.TASK_REGISTERS) << 20
+    assert 16 * 2**20 == (engine.TASK_BYTES_PER_AMPLITUDE - 16 * engine.TASK_REGISTERS) << 20
 
 
 def test_noisy_iteration_allocates_no_table():
@@ -422,6 +459,31 @@ def test_iteration_timer_prints_one_row_per_register():
     assert (int(n_q), int(ops)) == (4, 16)
     assert 0 < float(best) == float(median)
     assert 0 < float(half_best) == float(half_median)
+
+
+def test_iteration_timer_prints_one_row_per_op():
+    # tools/time_iteration.py --ops at n_q = 9 for one round: a header and
+    # one row per bound op of the iteration, with its kind and window; the
+    # two full-register diagonals are the factorized ones
+    tool = Path(__file__).resolve().parents[1] / "tools" / "time_iteration.py"
+    run = subprocess.run(
+        [sys.executable, str(tool), "--nq", "9", "--rounds", "1", "--ops"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["n_q", "op", "kind", "window", "best_us"]
+    rows = [row.split() for row in rows]
+    assert [(int(n_q), int(op)) for n_q, op, *_ in rows] == [(9, i) for i in range(36)]
+    kinds = {}
+    for _, _, kind, window, best in rows:
+        kinds.setdefault(kind, []).append(int(window))
+        assert float(best) > 0
+    assert sorted(kinds) == ["batched-tilt", "dense-diagonal", "factorized-diagonal", "kron-tilt"]
+    assert len(kinds["batched-tilt"]) + len(kinds["kron-tilt"]) == 18
+    assert set(kinds["batched-tilt"] + kinds["kron-tilt"]) == {1}
+    assert kinds["factorized-diagonal"] == [9, 9]
+    assert sorted(kinds["dense-diagonal"]) == sorted(2 * list(range(2, 10)))
 
 
 class _RecordingRng:
