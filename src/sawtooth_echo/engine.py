@@ -12,32 +12,22 @@ every application including backward evolution):
   target, conditioned on the control qubit; the control-0 block stays
   untouched.
 
-A program compiles into two op kinds: each Hadamard, and one fused
-diagonal for each maximal run of phase-type gates between Hadamards (a map
-iteration has 4*n_q ops).  Each op writes out of place into the other of
-two buffers.  A diagonal's phase has one representation, its coefficients
-in the slots of a high x low grid of bit features (see _compile_diagonal),
-with two ways to evaluate it, and every diagonal ends in the same multiply
-by its factor exp(i * phase).  The ops read one row of tables: the factor
-of every diagonal whose phase matrix fits _DENSE_PHASE_BYTES, each
-Hadamard's rotation and kron diagonals, and the draws of the larger
-diagonals, which build their own factor when they run, in one shared
-region, as a product of high, cross and low factors, so applying a program
-allocates no table.  A stage evaluates the rows of one or more
-applications at once: one batched matmul per group of same-shape phase
-matrices, then one add of the ideal phases (pi/4 for a tilt), one cos and
-one sin for all of them, and the rotation and kron fills.  One
-application stages straight into the row the ops read; a noisy run of more
-stages a block of rows, and each of its applications copies its row into
-the row the ops read and runs the ops, so only a noisy run's block waits.
-A program's inverse binds to the same buffers, row and block, all
-allocated at bind (see BoundProgram).
-Draws are consumed in program order: a block of applications draws one
-uniform (rows, draw_count) matrix from the caller's generator, which is bit
-for bit the rows drawn one vector at a time.  The echo protocol stages each
-half-echo from its realization's own stream (echo.realization_rng), so a
-fixed (master seed, reversal time, realization) triple reproduces every
-amplitude bit-for-bit.  The ideal program is the same ops with zero draws.
+A program compiles into two op kinds: each Hadamard, and one fused diagonal
+for each maximal run of phase-type gates between Hadamards (a map iteration
+has 4*n_q ops).  Each op writes out of place into the other of two buffers.
+A diagonal's phase has one representation, its coefficients in the slots of
+a high x low grid of bit features (see _compile_diagonal), with two ways to
+evaluate it, and every diagonal ends in the same multiply by its factor
+exp(i * phase).  The ops read one row of tables, which a stage fills for
+one or more applications at once; the larger diagonals build their factor
+when they run, in one shared region, from high, cross and low factors (see
+BoundProgram).  Draws are consumed in program order: a block of
+applications draws one uniform (rows, draw_count) matrix from the caller's
+generator, which is bit for bit the rows drawn one vector at a time.  The
+echo protocol stages each half-echo from its realization's own stream
+(echo.realization_rng), so a fixed (master seed, reversal time,
+realization) triple reproduces every amplitude bit-for-bit.  The ideal
+program is the same ops with zero draws.
 """
 
 import math
@@ -95,11 +85,11 @@ _STAGE_BYTES = 256 * 1024
 TASK_REGISTERS = 2
 
 #: bytes a bound program and its inverse hold per amplitude: their
-#: registers, 16 bytes each, and the complex factor table (16 bytes per
-#: entry) that the factorized diagonals share, which spans the whole
-#: register once the full-register diagonals of a map iteration factorize
-#: (from n_q = 9).  The staging is counted apart (staged_block); its rows
-#: stop growing at n_q = 10.
+#: registers, 16 bytes each, and the complex factor region (16 bytes per
+#: entry) the factorized diagonals share, which spans the register once a
+#: map iteration's full-register diagonals factorize (from n_q = 9).  The
+#: staging is counted apart (staged_block); its rows stop growing at
+#: n_q = 10.
 TASK_BYTES_PER_AMPLITUDE = 16 * TASK_REGISTERS + 16
 
 
@@ -137,8 +127,8 @@ def _features(m):
 
 def _multiply(src, dst, factors, shape):
     """The multiply every diagonal op ends in, as one prebound call: src
-    times factors, a column over the window index, into dst; 1-D when the
-    window is the whole register, which needs no broadcast."""
+    times factors, a column over the window index, into dst; 1-D, with no
+    broadcast, when the window is the register."""
     shape, column = ((-1,), -1) if shape[0] == shape[2] == 1 else (shape, (-1, 1))
     return partial(np.multiply, src.reshape(shape), factors.reshape(column), dst.reshape(shape))
 
@@ -161,34 +151,26 @@ def _compile_diagonal(n_q, gates, phase_budget):
     high x low feature grid: the ideal coefficients plus a linear map of the
     run's draws.
 
-    Returns (shape, phases, bind), where shape is the (outer, 2**width,
-    inner) view of the register the op multiplies, so 2**width is the size
-    of its table.  The op ends in one multiply by the factor
-    exp(i * phase); the form has two ways to reach it.  When the phase
-    matrix P (the grid's columns at the run's slots times the linear map)
-    takes at most phase_budget bytes, phases is (P, ideal table), the
-    columns times the map and times the ideal coefficients, bind is None,
-    and the bound program's stage evaluates the factor.  Otherwise phases
-    is None and bind(src, dst, tables, table, span) binds the op's own
-    kernel, which fills C from its span of the row's draws on every
-    application and builds the factor in its slice of the shared factor
-    region without evaluating a phase per entry.  A monomial has at most
-    two bits, so of C's high rows (each bit, the constant, each pair) a
-    pair's row holds only its low-constant cell, and
+    Returns (shape, phases, bind), shape being the (outer, 2**width,
+    inner) view of the register the op multiplies by its factor
+    exp(i * phase).  When the phase matrix P (the grid's columns at the
+    run's slots times the linear map) takes at most phase_budget bytes,
+    phases is (P, ideal table) and bind is None: the bound program's stage
+    evaluates the factor.  Otherwise phases is None and bind(src, dst,
+    tables, table, span) binds the op's own kernel, which fills C from its
+    draws in the row and builds the factor in its slice of the shared
+    region, with no phase per entry.  A monomial has at most two bits, so
+    C's rows of high pairs hold only their low-constant cell, and
 
         phase(high bits h, low bits l) = sum_j h_j Y[j](l) + B(l) + A(h),
 
-    where [Y; B] = C[:high + 1] @ F_low^T holds the cross, high-only linear
-    and low-only terms and A = F_high's pair columns @ the pairs' cells.
-    One cos and one sin cover those (high + 1) * 2**low + 2**high angles
-    (512 at width 12, against 4096 entries).  Row 0 of the table is
-    exp(i * B); each high bit j, least significant first, doubles the rows
-    filled, the new rows the old ones times exp(i * Y[j]), one multiply of
-    contiguous blocks (columns would make numpy buffer all three strided
-    operands); and one multiply by exp(i * A), a column, completes it.
-    Every step is a call prebound at bind onto views; only C, its values,
-    the angles and their exponentials are the op's own, so no
-    table-by-draws matrix or phase table is formed.
+    with [Y; B] = C[:high + 1] @ F_low^T and A = F_high's pair columns @
+    those cells.  One cos and one sin cover the (high + 1) * 2**low +
+    2**high angles (512 at width 12, not 4096).  Row 0 of the table is
+    exp(i * B); each high bit j doubles the rows filled, times
+    exp(i * Y[j]) on contiguous blocks (column blocks would make numpy
+    buffer all three operands), and a multiply by exp(i * A) completes it,
+    all prebound onto views.
     """
     terms = []  # (qubits, target last; phase)
     for gate in gates:
@@ -268,7 +250,7 @@ def _compile_diagonal(n_q, gates, phase_budget):
             partial(np.sin, phases, exps.imag),
             partial(np.copyto, full[0], e[high]),
         ]
-        for k in range(high):  # the high bit of value 2**k: Y's row high - 1 - k
+        for k in range(high):  # e[-2 - k]: Y's row for the bit 2**k
             calls.append(partial(np.multiply, full[: 1 << k], e[-2 - k], full[1 << k : 2 << k]))
         calls.append(partial(np.multiply, full, exps[angles:, None], full))
         calls.append(_multiply(src, dst, tables.region[table], shape))
@@ -448,44 +430,36 @@ class _Staged:
 class BoundProgram:
     """A program compiled into ops bound to one amplitude buffer.
 
-    Each Hadamard is one op, a tilted Hadamard computed as one real matmul;
-    each maximal run of phase shifts and controlled phases between
-    Hadamards fuses into one diagonal op (see _compile_diagonal).  Ops write
-    out of place, so binding allocates a scratch buffer beside amps: op i
-    reads one of the two and writes the other, starting from amps, and a
-    program with an odd op count copies its result back once.
+    Ops write out of place, so binding allocates a scratch buffer beside
+    amps: op i reads one of the two and writes the other, starting from
+    amps, and a program with an odd op count copies its result back once.
 
     The ops read one row of tables.  Every Hadamard and every dense diagonal
     (one whose phase matrix fits _DENSE_PHASE_BYTES) is one prebound numpy
-    call, a matmul by its rotation M(d) or kron(M, I_L), or a multiply by
-    its complex factor, all views of the row (1-D when the diagonal spans
-    the register).  A factorized diagonal is a short list of prebound calls
-    that reads its draws from the row and builds its factor from high,
-    cross and low factors in one shared complex region, as long as the
-    largest of their tables (the whole register from n_q = 9 in a map
-    iteration); so no op allocates a table when it runs.
+    call on views of the row, a matmul by its rotation M(d) or
+    kron(M, I_L), or a multiply by its complex factor (1-D when the
+    diagonal spans the register).  A factorized diagonal's prebound calls
+    read its draws from the row and build its factor in one shared region,
+    as long as the largest of their tables (the register from n_q = 9 in a
+    map iteration); so no op allocates a table when it runs.
 
-    A stage evaluates one row per application: it gathers the rows'
-    draws, evaluates each group of dense diagonals (grouped by the shape of
-    P) as one batched matmul of the rows' draws by the stacked P^T, puts
-    each Hadamard's tilt beside them, and then one add of the ideal phases
-    (pi/4 for a tilt), one cos and one sin fill the rows' factors; three
-    assignments write the tilts' rotations from them, and one per kron
-    stride their kron diagonals.  One application, apply(draws),
-    apply_ideal or a noisy run of one, stages straight into the row the ops
-    read.  apply_noisy stages, when no row waits, the next
+    A stage evaluates one row per application from the rows' gathered
+    draws: one batched matmul per group of same-shape P (see _compile), the
+    tilts beside them, one add of the ideal phases (pi/4 for a tilt), one
+    cos and one sin for the factors, three assignments for the rotations
+    and one per kron stride for their diagonals.  One application
+    (apply(draws), apply_ideal or a noisy run of one) stages straight into
+    the row the ops read.  apply_noisy stages, when no row waits, the next
     min(remaining, capacity) applications from one uniform draw, capacity
-    being the rows _STAGE_BYTES holds; two or more go into the block, where
-    they wait, and each application copies its row into the row the ops
-    read.  Every op then runs with no arguments.  The staging is allocated
-    at bind and never moves (_Staged), so every stage is bound once: the
-    stage of one row with the ops, and the stage of each block size on its
-    first run.
+    being the rows _STAGE_BYTES holds; two or more wait in the block, and
+    each application copies its row into the row the ops read.  Every op
+    then runs with no arguments.  The staging is allocated at bind and
+    never moves (_Staged), so every stage is bound once: the stage of one
+    row with the ops, and that of each block size on its first run.
 
-    inverse() binds to the same amps, scratch, factor region, row and
-    block, so the two must not run at the same time, and neither may stage
-    a block while the other's rows wait; one application of either runs at
-    any time.
+    inverse() binds to the same amps, scratch, region, row and block, so the
+    two must not run at the same time, and neither may stage a block while
+    the other's rows wait; one application of either runs at any time.
     Binding takes every view once, so repeated applications (thousands per
     echo experiment) do only arithmetic.  amps must stay the C-contiguous
     complex128 array the views were taken from.
